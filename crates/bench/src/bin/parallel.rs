@@ -196,8 +196,9 @@ fn run(
 /// each node's *minimum* across repetitions (same seed → identical
 /// computation, so the min is the node's deterministic compute floor —
 /// robust against one-sided scheduler/allocator spikes that a mean keeps
-/// a share of). Nodes the walk never times (plain ops, inputs — executed
-/// in the serial prologue) cost zero, matching the cost model.
+/// a share of). Nodes without a cost class (plain ops, input
+/// encryptions) are absent from `node_times` and cost zero, matching the
+/// cost model.
 fn node_costs(graph: &DepGraph, reports: &[ParReport]) -> Vec<f64> {
     let mut costs = vec![f64::INFINITY; graph.nodes().len()];
     for report in reports {

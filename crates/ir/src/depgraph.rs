@@ -24,7 +24,8 @@
 //! is an ancestor of the op that frees it, so *any* topological-order-
 //! respecting parallel execution observes the free after the last read.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::cost::{CostModel, OpClass};
 use crate::op::{Op, ValueId};
@@ -137,6 +138,7 @@ pub struct DepGraph {
     preds: Vec<Vec<(usize, DepKind)>>,
     succs: Vec<Vec<(usize, DepKind)>>,
     free_at: Vec<Option<ValueId>>,
+    hoist_groups: Vec<Vec<ValueId>>,
 }
 
 impl DepGraph {
@@ -255,6 +257,7 @@ impl DepGraph {
         // Output dependences: a hoisted rotation group (≥2 live cipher
         // rotations of one source) materializes every member's output when
         // the leader executes; later members are ordered after it.
+        let mut hoist_groups = Vec::new();
         if hoist_rotations {
             let mut groups: HashMap<ValueId, Vec<ValueId>> = HashMap::new();
             for &DepNode { id, .. } in &nodes {
@@ -264,10 +267,9 @@ impl DepGraph {
                     }
                 }
             }
-            for group in groups.values() {
-                if group.len() < 2 {
-                    continue;
-                }
+            hoist_groups = groups.into_values().filter(|g| g.len() >= 2).collect();
+            hoist_groups.sort_unstable_by_key(|g| g[0]);
+            for group in &hoist_groups {
                 let leader = node_of[group[0].index()].expect("leader is live");
                 for &m in &group[1..] {
                     let mi = node_of[m.index()].expect("member is live");
@@ -282,6 +284,7 @@ impl DepGraph {
             preds,
             succs,
             free_at,
+            hoist_groups,
         }
     }
 
@@ -309,6 +312,23 @@ impl DepGraph {
     /// when `id` is a program output (pinned), plain, or dead.
     pub fn free_at(&self, id: ValueId) -> Option<ValueId> {
         self.free_at.get(id.index()).copied().flatten()
+    }
+
+    /// The hoisted rotation groups (empty unless the graph was built with
+    /// hoisting): each is ≥ 2 live cipher rotations of one source in
+    /// schedule order, led by its first member. Groups are sorted by
+    /// leader.
+    pub fn hoist_groups(&self) -> &[Vec<ValueId>] {
+        &self.hoist_groups
+    }
+
+    /// The hoisted rotation group `leader` leads (itself first), or `None`
+    /// when `leader` leads no group.
+    pub fn hoist_group(&self, leader: ValueId) -> Option<&[ValueId]> {
+        self.hoist_groups
+            .binary_search_by_key(&leader, |g| g[0])
+            .ok()
+            .map(|i| &self.hoist_groups[i][..])
     }
 
     /// Total work: the summed cost of all nodes (µs).
@@ -522,16 +542,21 @@ impl DepGraph {
     }
 }
 
-/// Incremental topological consumption of a [`DepGraph`] — the API a
-/// DAG-parallel executor drives. Tracks the in-degree of every node;
+/// Incremental topological consumption of a [`DepGraph`] — the API the
+/// encrypted walk drives. Tracks the in-degree of every node;
 /// [`DepConsumer::pop_ready`] hands out runnable nodes and
 /// [`DepConsumer::complete`] retires one, unlocking its successors. The
 /// consumer is purely sequential state: a parallel runtime wraps it in
 /// its own lock and calls it from every runner.
+///
+/// The frontier pops the lowest schedule position first. Every edge runs
+/// from a lower node index to a higher one, so a single consumer that
+/// completes each node before popping the next visits the nodes in exact
+/// schedule order.
 #[derive(Debug, Clone)]
 pub struct DepConsumer {
     indeg: Vec<usize>,
-    ready: Vec<usize>,
+    ready: BinaryHeap<Reverse<usize>>,
     remaining: usize,
 }
 
@@ -541,7 +566,10 @@ impl DepConsumer {
         let indeg: Vec<usize> = (0..graph.nodes().len())
             .map(|i| graph.preds(i).len())
             .collect();
-        let ready = (0..indeg.len()).filter(|&i| indeg[i] == 0).collect();
+        let ready = (0..indeg.len())
+            .filter(|&i| indeg[i] == 0)
+            .map(Reverse)
+            .collect();
         DepConsumer {
             remaining: indeg.len(),
             indeg,
@@ -549,11 +577,10 @@ impl DepConsumer {
         }
     }
 
-    /// Takes one ready node (lowest schedule order last — the frontier is
-    /// LIFO, which keeps runners near the schedule's locality), or `None`
-    /// when nothing is currently runnable.
+    /// Takes the ready node earliest in schedule order, or `None` when
+    /// nothing is currently runnable.
     pub fn pop_ready(&mut self) -> Option<usize> {
-        self.ready.pop()
+        self.ready.pop().map(|Reverse(n)| n)
     }
 
     /// Retires a node whose execution finished, decrementing successor
@@ -570,7 +597,7 @@ impl DepConsumer {
                 .checked_sub(1)
                 .expect("node completed at most once");
             if self.indeg[s] == 0 {
-                self.ready.push(s);
+                self.ready.push(Reverse(s));
             }
         }
     }
@@ -797,6 +824,31 @@ mod tests {
         }
         assert!(consumer.is_done());
         assert!(done.iter().all(|&d| d), "every node retired");
+    }
+
+    #[test]
+    fn single_consumer_pops_in_exact_schedule_order() {
+        // Four independent rotations of x become ready together when x
+        // retires; the reduction tree then unlocks nodes out of order.
+        // One consumer must still visit 0, 1, 2, … in schedule order.
+        let b = Builder::new("t", 8);
+        let x = b.input("x");
+        let y = b.input("y");
+        let parts: Vec<_> = (1..5i64).map(|k| x.clone().rotate(k) * y.clone()).collect();
+        let sum = parts.into_iter().reduce(|a, c| a + c).expect("nonempty");
+        let p = b.finish(vec![sum]);
+        let g = graph(p);
+        let mut consumer = DepConsumer::new(&g);
+        let mut order = Vec::new();
+        while let Some(node) = consumer.pop_ready() {
+            order.push(node);
+            consumer.complete(&g, node);
+        }
+        assert_eq!(order, (0..g.nodes().len()).collect::<Vec<_>>());
+        assert_eq!(g.hoist_groups().len(), 1, "the four rotations share x");
+        let group = g.hoist_group(g.hoist_groups()[0][0]).expect("leader");
+        assert_eq!(group.len(), 4);
+        assert!(g.hoist_group(group[1]).is_none(), "members lead nothing");
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The unified [`Executor`] interface over the three ways this workspace
-//! runs a scheduled program: exact plaintext reference ([`PlainExec`]),
+//! The unified [`Executor`] interface over the ways this workspace runs a
+//! scheduled program: exact plaintext reference ([`PlainExec`]),
 //! noise-injecting simulation ([`NoiseSimExec`]) and real encrypted
-//! execution ([`CkksExec`]).
+//! execution — the serial walk ([`CkksExec`]) or the same walk with more
+//! runners and fusion ([`ParCkksExec`]).
 //!
 //! Every executor returns the same [`Execution`] artifact — outputs, the
 //! plaintext reference, and an [`ExecTrace`] with per-op-class timing — so
@@ -14,9 +15,8 @@ use std::time::{Duration, Instant};
 
 use fhe_ir::{CostModel, OpClass, ScheduleError, ScheduledProgram};
 
-use crate::ckks_exec::{self, ExecOptions};
+use crate::ckks_exec::{self, ExecOptions, ExecReport, ParOptions};
 use crate::noise_sim::{self, NoiseModel};
-use crate::par_exec::{self, ParOptions};
 use crate::plain;
 
 /// Memory counters of one execution (encrypted backend only; the
@@ -78,6 +78,22 @@ impl MemStats {
             key_bytes_peak: self.key_bytes_peak,
         }
     }
+
+    /// Charges one op's traffic to this per-class window: the counter
+    /// deltas between the snapshots `prev` and `cur` taken around it, and
+    /// `cur`'s bytes as a high-water mark.
+    pub(crate) fn absorb(&mut self, prev: &MemStats, cur: &MemStats) {
+        let d = cur.delta_since(prev);
+        self.allocations += d.allocations;
+        self.pool_hits += d.pool_hits;
+        self.pool_misses += d.pool_misses;
+        self.key_hits += d.key_hits;
+        self.key_misses += d.key_misses;
+        self.key_evictions += d.key_evictions;
+        self.peak_bytes = self.peak_bytes.max(cur.live_bytes);
+        self.live_bytes = cur.live_bytes;
+        self.key_bytes_peak = self.key_bytes_peak.max(cur.key_bytes_peak);
+    }
 }
 
 /// Timing breakdown of one execution.
@@ -98,8 +114,25 @@ pub struct ExecTrace {
     pub mem: MemStats,
     /// Per-op-class memory counters: counter fields are summed deltas over
     /// the class's ops, byte peaks are the high-water mark observed at the
-    /// end of any op of the class.
+    /// end of any op of the class (encrypted walks on one runner only).
     pub per_class_mem: Vec<(OpClass, MemStats)>,
+}
+
+impl From<ExecReport> for Execution {
+    fn from(report: ExecReport) -> Self {
+        Execution {
+            outputs: report.outputs,
+            reference: report.reference,
+            trace: ExecTrace {
+                total_time: report.total_time,
+                op_time: report.op_time,
+                ops_executed: report.ops_executed,
+                per_class: report.per_class,
+                mem: report.mem,
+                per_class_mem: report.per_class_mem,
+            },
+        }
+    }
 }
 
 /// Result of running a scheduled program through any [`Executor`].
@@ -178,9 +211,15 @@ pub fn outputs_close(actual: &[Vec<f64>], expected: &[Vec<f64>], tol: f64) -> Re
     }
 }
 
-/// Per-class op counts of the live cipher ops (zero durations — used by the
-/// backends that do not time individual ops).
-fn class_counts(scheduled: &ScheduledProgram) -> Vec<(OpClass, Duration, usize)> {
+/// The [`Execution`] of a plaintext backend that ran for `wall`: per-class
+/// counts of the live cipher ops with zero durations (per-op cost is not
+/// meaningful in the clear).
+fn clear_execution(
+    scheduled: &ScheduledProgram,
+    outputs: Vec<Vec<f64>>,
+    reference: Vec<Vec<f64>>,
+    wall: Duration,
+) -> Execution {
     let program = &scheduled.program;
     let live = fhe_ir::analysis::live(program);
     let mut counts = [0usize; OpClass::ALL.len()];
@@ -196,12 +235,23 @@ fn class_counts(scheduled: &ScheduledProgram) -> Vec<(OpClass, Duration, usize)>
             counts[slot] += 1;
         }
     }
-    OpClass::ALL
+    let per_class: Vec<_> = OpClass::ALL
         .iter()
         .zip(counts)
         .filter(|(_, n)| *n > 0)
         .map(|(&c, n)| (c, Duration::ZERO, n))
-        .collect()
+        .collect();
+    Execution {
+        outputs,
+        reference,
+        trace: ExecTrace {
+            total_time: wall,
+            op_time: wall,
+            ops_executed: per_class.iter().map(|&(_, _, n)| n).sum(),
+            per_class,
+            ..ExecTrace::default()
+        },
+    }
 }
 
 /// Exact plaintext reference execution (the semantics oracle).
@@ -222,19 +272,7 @@ impl Executor for PlainExec {
         let t0 = Instant::now();
         let outputs = plain::execute(&scheduled.program, inputs);
         let wall = t0.elapsed();
-        let per_class = class_counts(scheduled);
-        let ops_executed = per_class.iter().map(|&(_, _, n)| n).sum();
-        Ok(Execution {
-            reference: outputs.clone(),
-            outputs,
-            trace: ExecTrace {
-                total_time: wall,
-                op_time: wall,
-                ops_executed,
-                per_class,
-                ..ExecTrace::default()
-            },
-        })
+        Ok(clear_execution(scheduled, outputs.clone(), outputs, wall))
     }
 }
 
@@ -259,19 +297,7 @@ impl Executor for NoiseSimExec {
         let t0 = Instant::now();
         let run = noise_sim::simulate(scheduled, inputs, &self.model)?;
         let wall = t0.elapsed();
-        let per_class = class_counts(scheduled);
-        let ops_executed = per_class.iter().map(|&(_, _, n)| n).sum();
-        Ok(Execution {
-            outputs: run.outputs,
-            reference: run.reference,
-            trace: ExecTrace {
-                total_time: wall,
-                op_time: wall,
-                ops_executed,
-                per_class,
-                ..ExecTrace::default()
-            },
-        })
+        Ok(clear_execution(scheduled, run.outputs, run.reference, wall))
     }
 }
 
@@ -293,25 +319,13 @@ impl Executor for CkksExec {
         scheduled: &ScheduledProgram,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<Execution, Vec<ScheduleError>> {
-        let report = ckks_exec::execute(scheduled, inputs, &self.options)?;
-        Ok(Execution {
-            outputs: report.outputs,
-            reference: report.reference,
-            trace: ExecTrace {
-                total_time: report.total_time,
-                op_time: report.op_time,
-                ops_executed: report.ops_executed,
-                per_class: report.per_class,
-                mem: report.mem,
-                per_class_mem: report.per_class_mem,
-            },
-        })
+        ckks_exec::execute(scheduled, inputs, &self.options).map(Execution::from)
     }
 }
 
-/// Real encrypted execution through the DAG-parallel executor
-/// ([`par_exec`]): op-level parallelism on the persistent work-stealing
-/// pool, with fused mul·relin·rescale and hoisted rotations. Outputs are
+/// Real encrypted execution with the walk's parallel knobs
+/// ([`ckks_exec::execute_parallel`]): op-level parallelism on the
+/// persistent work-stealing pool and fused mul·relin·rescale. Outputs are
 /// byte-identical to [`CkksExec`] at the same backend options.
 #[derive(Debug, Clone, Default)]
 pub struct ParCkksExec {
@@ -329,22 +343,7 @@ impl Executor for ParCkksExec {
         scheduled: &ScheduledProgram,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<Execution, Vec<ScheduleError>> {
-        let report = par_exec::execute_parallel(scheduled, inputs, &self.options)?;
-        Ok(Execution {
-            outputs: report.outputs,
-            reference: report.reference,
-            trace: ExecTrace {
-                total_time: report.total_time,
-                op_time: report.op_time,
-                ops_executed: report.ops_executed,
-                per_class: report.per_class,
-                mem: report.mem,
-                // Per-class memory attribution diffs whole-pool snapshots
-                // between consecutive ops — meaningless under concurrent
-                // runners, so the parallel backend reports none.
-                per_class_mem: Vec::new(),
-            },
-        })
+        ckks_exec::execute_parallel(scheduled, inputs, &self.options).map(Execution::from)
     }
 }
 

@@ -1,26 +1,31 @@
 //! # fhe-runtime — executors and estimators for scheduled programs
 //!
-//! Four ways to run or cost a compiled ([`fhe_ir::ScheduledProgram`])
-//! RNS-CKKS program:
+//! Ways to run or cost a compiled ([`fhe_ir::ScheduledProgram`]) RNS-CKKS
+//! program:
 //!
 //! - [`plain`]: exact plaintext reference execution (the semantics oracle);
 //! - [`noise_sim`]: plaintext execution with the scheme's scale-dependent
 //!   noise injected per op — drives the paper's error comparison (Fig. 7)
 //!   at a tiny fraction of encrypted cost;
 //! - [`ckks_exec`]: real encrypted execution on the `fhe-ckks` backend with
-//!   wall-clock timing;
-//! - [`estimate()`](estimate::estimate): static latency estimation under the Table 3 cost model
-//!   (drives Fig. 6 and Fig. 8);
+//!   wall-clock timing. One walk over the schedule's dependence DAG serves
+//!   every entry point: [`execute_encrypted`] and [`execute_with_keys`] are
+//!   its one-runner, unfused form; [`execute_parallel`] and
+//!   [`execute_parallel_with_keys`] add runners and fusion, byte-identical
+//!   at every width;
+//! - [`estimate()`](estimate::estimate): static latency estimation under
+//!   the Table 3 cost model (drives Fig. 6 and Fig. 8);
 //! - [`error_est`]: closed-form worst-case error bounds (an ELASM-style
 //!   extension beyond the paper);
 //!
 //! plus [`microbench`], which measures this repo's own Table 3.
 //!
-//! The three executors are unified behind the [`Executor`] trait
-//! ([`executor`]): each returns the same [`Execution`] artifact (outputs +
-//! plaintext reference + [`ExecTrace`] with per-op-class timing), and the
-//! encrypted/plain output-diff check is the shared [`outputs_close`]
-//! helper.
+//! The executors are unified behind the [`Executor`] trait ([`executor`]):
+//! [`PlainExec`], [`NoiseSimExec`], [`CkksExec`] (the serial walk) and
+//! [`ParCkksExec`] (the walk with runners and fusion) each return the same
+//! [`Execution`] artifact (outputs + plaintext reference + [`ExecTrace`]
+//! with per-op-class timing), and the encrypted/plain output-diff check is
+//! the shared [`outputs_close`] helper.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,12 +36,11 @@ pub mod estimate;
 pub mod executor;
 pub mod microbench;
 pub mod noise_sim;
-pub mod par_exec;
 pub mod plain;
 
 pub use ckks_exec::{
-    execute as execute_encrypted, execute_with_keys, rotation_steps, ExecOptions, ExecReport,
-    KeyPolicy, SessionKeys,
+    execute as execute_encrypted, execute_parallel, execute_parallel_with_keys, execute_with_keys,
+    rotation_steps, ExecOptions, ExecReport, KeyPolicy, ParOptions, ParReport, SessionKeys,
 };
 pub use error_est::{estimate_error, select_waterline, ErrorEstimateOptions};
 pub use estimate::{estimate, LatencyBreakdown};
@@ -45,4 +49,3 @@ pub use executor::{
     ParCkksExec, PlainExec,
 };
 pub use noise_sim::{simulate, NoiseModel, NoisyRun};
-pub use par_exec::{execute_parallel, execute_parallel_with_keys, ParOptions, ParReport};

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use fhe_ir::{Op, ScheduleError, ScheduledProgram, ValueId};
+use fhe_ir::{Op, ScheduleError, ScheduledProgram};
 
 use crate::plain;
 
@@ -51,11 +51,7 @@ pub struct NoisyRun {
 impl NoisyRun {
     /// Maximum absolute slot error across all outputs.
     pub fn max_abs_error(&self) -> f64 {
-        self.outputs
-            .iter()
-            .zip(&self.reference)
-            .flat_map(|(o, r)| o.iter().zip(r).map(|(a, b)| (a - b).abs()))
-            .fold(0.0, f64::max)
+        crate::executor::max_abs_diff(&self.outputs, &self.reference)
     }
 
     /// Root-mean-square slot error across all outputs.
@@ -89,72 +85,23 @@ pub fn simulate(
 ) -> Result<NoisyRun, Vec<ScheduleError>> {
     let map = scheduled.validate()?;
     let program = &scheduled.program;
-    let slots = program.slots();
     let mut rng = StdRng::seed_from_u64(model.seed);
-    let live = fhe_ir::analysis::live(program);
     let noise_mag = 2f64.powf(model.noise_bits);
-
-    let mut values: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
-    let fetch = |values: &Vec<Option<Vec<f64>>>, id: ValueId| -> Vec<f64> {
-        values[id.index()].clone().expect("operand evaluated")
-    };
-
-    for id in program.ids() {
-        if !live[id.index()] {
-            continue;
-        }
-        let (mut result, noisy) = match program.op(id) {
-            Op::Input { name } => {
-                let data = inputs
-                    .get(name)
-                    .unwrap_or_else(|| panic!("missing input binding `{name}`"));
-                let v: Vec<f64> = (0..slots)
-                    .map(|i| data.get(i).copied().unwrap_or(0.0))
-                    .collect();
-                (v, true) // fresh encryption noise
-            }
-            Op::Const { value } => (value.to_vec(slots), false),
-            Op::Add(a, b) => (
-                fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x + y)
-                    .collect(),
-                false,
-            ),
-            Op::Sub(a, b) => (
-                fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x - y)
-                    .collect(),
-                false,
-            ),
-            Op::Mul(a, b) => {
-                let prod: Vec<f64> = fetch(&values, *a)
-                    .iter()
-                    .zip(&fetch(&values, *b))
-                    .map(|(x, y)| x * y)
-                    .collect();
-                // Relinearization noise only for cipher×cipher.
-                let relin = program.is_cipher(*a) && program.is_cipher(*b);
-                (prod, relin)
-            }
-            Op::Neg(a) => (fetch(&values, *a).iter().map(|x| -x).collect(), false),
-            Op::Rotate(a, k) => (plain::rotate(&fetch(&values, *a), *k), true),
-            Op::Rescale(a) => (fetch(&values, *a), true),
-            Op::ModSwitch(a) | Op::Upscale(a, _) => (fetch(&values, *a), false),
+    let values = plain::values_with(program, inputs, |id, value| {
+        // Fresh encryption, relinearization (cipher×cipher only), key
+        // switching and rescaling add noise; the other ops do not.
+        let noisy = match program.op(id) {
+            Op::Input { .. } | Op::Rotate(..) | Op::Rescale(_) => true,
+            Op::Mul(a, b) => program.is_cipher(*a) && program.is_cipher(*b),
+            _ => false,
         };
         if noisy && program.is_cipher(id) {
-            let scale = 2f64.powf(map.scale_bits(id).to_f64());
-            let err = noise_mag / scale;
-            for v in result.iter_mut() {
+            let err = noise_mag / 2f64.powf(map.scale_bits(id).to_f64());
+            for v in value.iter_mut() {
                 *v += rng.gen_range(-1.0..1.0) * err;
             }
         }
-        values[id.index()] = Some(result);
-    }
-
+    });
     let outputs = program
         .outputs()
         .iter()

@@ -16,6 +16,33 @@ use fhe_ir::{Op, Program, ValueId};
 ///
 /// Panics if an input binding is missing.
 pub fn execute(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec<f64>> {
+    let values = values(program, inputs);
+    program
+        .outputs()
+        .iter()
+        .map(|&o| values[o.index()].clone().expect("output evaluated"))
+        .collect()
+}
+
+/// Every live value of `program` in the clear, indexed by value id (`None`
+/// for dead values). The encrypted walk reads its plaintext operands and
+/// its reference outputs from here.
+///
+/// # Panics
+///
+/// Panics if an input binding is missing.
+pub fn values(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Option<Vec<f64>>> {
+    values_with(program, inputs, |_, _| {})
+}
+
+/// [`values`], calling `after(id, value)` on each live value as soon as it
+/// is computed, in schedule order; later ops read the value as `after`
+/// left it (the noise simulator injects noise here).
+pub(crate) fn values_with(
+    program: &Program,
+    inputs: &HashMap<String, Vec<f64>>,
+    mut after: impl FnMut(ValueId, &mut Vec<f64>),
+) -> Vec<Option<Vec<f64>>> {
     let slots = program.slots();
     let mut values: Vec<Option<Vec<f64>>> = vec![None; program.num_ops()];
     let live = fhe_ir::analysis::live(program);
@@ -30,7 +57,7 @@ pub fn execute(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec
         if !live[id.index()] {
             continue;
         }
-        let result = match program.op(id) {
+        let mut result = match program.op(id) {
             Op::Input { name } => {
                 let data = inputs
                     .get(name)
@@ -47,14 +74,10 @@ pub fn execute(program: &Program, inputs: &HashMap<String, Vec<f64>>) -> Vec<Vec
             Op::Rotate(a, k) => rotate(&fetch(&values, *a), *k),
             Op::Rescale(a) | Op::ModSwitch(a) | Op::Upscale(a, _) => fetch(&values, *a),
         };
+        after(id, &mut result);
         values[id.index()] = Some(result);
     }
-
-    program
-        .outputs()
-        .iter()
-        .map(|&o| values[o.index()].clone().expect("output evaluated"))
-        .collect()
+    values
 }
 
 fn binop(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {

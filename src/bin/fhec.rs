@@ -11,13 +11,15 @@
 //! ```
 //!
 //! `--run` executes the compiled schedule on the encrypted backend through
-//! the DAG-parallel executor (deterministic inputs derived from the input
+//! the runtime's DAG walk (deterministic inputs derived from the input
 //! names, the fuzz harness's convention) and reports walk telemetry:
 //! runners, fused mul·relin·rescale pairs, hoisted rotation groups, and
-//! the parallel walk time. `--workers 0` (the default) sizes the walk to
-//! the host; `--workers 1` is the serial reference walk; `--no-fusion`
-//! disables the fused kernel. Outputs are bit-identical for every worker
-//! count and fusion setting.
+//! the walk time. `--workers N` sets the number of runners: `0` (the
+//! default) sizes the walk to the host, `1` walks on the calling thread
+//! in schedule order. `--no-fusion` disables the fused kernel;
+//! `--workers 1 --no-fusion` is exactly the serial executor
+//! (`execute_encrypted`). Outputs are bit-identical for every worker count
+//! and fusion setting.
 
 use std::process::ExitCode;
 
@@ -82,7 +84,9 @@ fn parse_args() -> Result<Cli, String> {
             "--help" | "-h" => {
                 return Err("usage: fhec <program.fhe> [--waterline N] \
                             [--compiler eva|hecate|reserve] [--mode ba|ra|full] \
-                            [--emit text|stats|both] [--run] [--workers N] [--no-fusion]"
+                            [--emit text|stats|both] [--run] [--workers N] [--no-fusion]\n\
+                            --workers N  runners of the encrypted walk (0 = one per core, \
+                            1 = schedule order; with --no-fusion, the serial executor)"
                     .to_string())
             }
             other if !other.starts_with('-') && input.is_none() => {
@@ -223,10 +227,9 @@ fn main() -> ExitCode {
             report.safety_obligations,
         );
         eprintln!(
-            "run: walk {:?} (op phase {:?}, total {:?}), peak memory {:.2} MiB, \
+            "run: walk {:?} (total {:?}), peak memory {:.2} MiB, \
              max |error| vs plaintext reference {:.3e}",
             report.walk_time,
-            report.op_time,
             report.total_time,
             report.mem.peak_bytes as f64 / (1 << 20) as f64,
             report.max_abs_error(),
