@@ -39,7 +39,7 @@
 //!
 //! These F-codes cover the *sequential* semantics of a schedule. The
 //! *concurrent* face of the toolchain — the serve layer's queue/shutdown
-//! and single-flight protocols and the CKKS work-stealing pool — is
+//! and single-flight protocols and the encrypted walk's frontier — is
 //! checked by the `fhe-conc` interleaving model checker instead; its
 //! `conc_smoke --json` binary emits a `ConcReport` (per-model schedule
 //! counts and verdicts) that CI publishes next to lint findings. See the

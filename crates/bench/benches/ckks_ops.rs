@@ -34,7 +34,6 @@ fn main() {
         modulus_bits: 45,
         special_bits: 46,
         error_std: 3.2,
-        threads: 1,
     });
     let mut rng = StdRng::seed_from_u64(1);
     let kg = KeyGenerator::new(&ctx, &mut rng);

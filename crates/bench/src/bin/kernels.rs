@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Three groups, each reported as latency plus speedup over its baseline:
+//! Two groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -10,8 +10,6 @@
 //! - **ntt** — forward/inverse negacyclic NTT at `N = 2^12` and `2^13`
 //!   over a 60-bit prime: Harvey lazy butterflies vs the exact-reduction
 //!   reference transforms.
-//! - **fanout** — `RnsPoly::to_ntt`/`to_coeff` over a full modulus chain,
-//!   serial (`threads = 1`) vs auto-detected worker threads.
 //!
 //! Kernels within a group are sampled round-robin (ref, fast, ref, fast,
 //! …) and scored by their per-kernel minimum, so background-load drift
@@ -27,8 +25,6 @@ use std::time::Instant;
 use fhe_bench::{json::Json, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
-use fhe_ckks::poly::RnsPoly;
-use fhe_ckks::{CkksContext, CkksParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -171,46 +167,6 @@ fn main() {
             baseline_us: ref_inv,
         });
     }
-
-    // --- fanout: full-chain domain conversions, serial vs auto threads. ---
-    let fanout_params = |threads: usize| CkksParams {
-        poly_degree: 1 << 12,
-        max_level: 6,
-        modulus_bits: 50,
-        special_bits: 51,
-        error_std: 3.2,
-        threads,
-    };
-    let serial_ctx = CkksContext::new(fanout_params(1));
-    let auto_ctx = CkksContext::new(fanout_params(0));
-    let mut p_serial = RnsPoly::uniform(&serial_ctx, 6, true, &mut rng);
-    let mut p_auto = RnsPoly::uniform(&auto_ctx, 6, true, &mut rng);
-    let best = time_rotation_us(
-        reps,
-        &mut [
-            &mut || {
-                p_serial.to_coeff(&serial_ctx);
-                p_serial.to_ntt(&serial_ctx);
-            },
-            &mut || {
-                p_auto.to_coeff(&auto_ctx);
-                p_auto.to_ntt(&auto_ctx);
-            },
-        ],
-    );
-    let (serial_us, auto_us) = (best[0], best[1]);
-    rows.push(Row {
-        group: "fanout",
-        name: "to_coeff+to_ntt x7 limbs, threads=1".into(),
-        us: serial_us,
-        baseline_us: serial_us,
-    });
-    rows.push(Row {
-        group: "fanout",
-        name: format!("to_coeff+to_ntt x7 limbs, threads={}", auto_ctx.threads()),
-        us: auto_us,
-        baseline_us: serial_us,
-    });
 
     println!("Kernel microbenchmarks (best of {reps} interleaved rounds, us).\n");
     let headers = ["group", "kernel", "us", "speedup"];

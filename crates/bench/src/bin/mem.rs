@@ -112,9 +112,9 @@ fn run_policy(
     let options = ExecOptions {
         poly_degree: scheduled.program.slots() * 2,
         seed: 0xC0FFEE,
-        threads: 1,
         keys,
         rotation_hoisting: true,
+        ..ExecOptions::default()
     };
     let report = execute_encrypted(scheduled, inputs, &options)
         .unwrap_or_else(|e| panic!("{policy}: {e:?}"));

@@ -171,12 +171,12 @@ fn run(
         exec: ExecOptions {
             poly_degree: scheduled.program.slots() * 2,
             seed: 0xDA6,
-            threads: 1,
             // Eager keys: lazy generation would charge first-use keygen
             // to whichever rotate node touches a step first, skewing that
             // node far above its class mean.
             keys: KeyPolicy::EagerProgram,
             rotation_hoisting: hoisting,
+            ..ExecOptions::default()
         },
         workers,
         fusion,

@@ -102,9 +102,9 @@ fn session_options(slots: usize, seed: u64) -> ParOptions {
         exec: ExecOptions {
             poly_degree: slots * 2,
             seed,
-            threads: 1,
             keys: KeyPolicy::Lazy { budget_bytes: None },
             rotation_hoisting: true,
+            ..ExecOptions::default()
         },
         workers: 1,
         fusion: true,

@@ -29,7 +29,6 @@ fn main() {
             modulus_bits: 50,
             special_bits: 51,
             error_std: 3.2,
-            threads: 0,
         }
     };
     let reps = if args.fast { 1 } else { 3 };

@@ -118,7 +118,6 @@ mod tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         });
         (ctx, StdRng::seed_from_u64(42))
     }

@@ -23,13 +23,6 @@ pub struct CkksParams {
     pub special_bits: u32,
     /// Standard deviation of the RLWE error distribution.
     pub error_std: f64,
-    /// Worker threads for fanning independent RNS limbs across cores
-    /// (NTT conversions, pointwise products, rescale, key-switch inner
-    /// loops). `0` = use [`std::thread::available_parallelism`]; `1` =
-    /// exact serial execution. Results are bit-identical for every value —
-    /// limb jobs are independent and deterministic — so this is purely a
-    /// throughput knob.
-    pub threads: usize,
 }
 
 impl CkksParams {
@@ -41,7 +34,6 @@ impl CkksParams {
             modulus_bits: 60,
             special_bits: 60,
             error_std: 3.2,
-            threads: 0,
         }
     }
 
@@ -53,7 +45,6 @@ impl CkksParams {
             modulus_bits: 50,
             special_bits: 51,
             error_std: 3.2,
-            threads: 0,
         }
     }
 }
@@ -75,8 +66,6 @@ pub struct CkksContext {
     rescale_inv: Vec<Vec<(u64, u64)>>,
     /// `(P^{-1} mod q_i, Shoup companion)` for the key-switch scale-down.
     special_inv: Vec<(u64, u64)>,
-    /// Resolved worker-thread count (≥ 1); see [`CkksParams::threads`].
-    threads: usize,
 }
 
 impl CkksContext {
@@ -116,11 +105,6 @@ impl CkksContext {
             })
             .collect();
         let special_inv = moduli.iter().map(|&m| with_shoup(m, special)).collect();
-        let threads = if params.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            params.threads
-        };
         CkksContext {
             params,
             moduli,
@@ -130,7 +114,6 @@ impl CkksContext {
             crt,
             rescale_inv,
             special_inv,
-            threads,
         }
     }
 
@@ -190,11 +173,6 @@ impl CkksContext {
         self.special_inv[i]
     }
 
-    /// Worker threads for per-limb fan-out (resolved; always ≥ 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The exact product of the first `l` chain primes, as `f64` (this is
     /// the actual `Q` a level-`l` ciphertext lives under).
     pub fn modulus_f64(&self, l: usize) -> f64 {
@@ -238,15 +216,6 @@ mod tests {
             assert_eq!(qi.mul(qi.reduce(ctx.special().value()), inv), 1);
             assert_eq!(shoup, qi.shoup(inv));
         }
-    }
-
-    #[test]
-    fn threads_resolve() {
-        let mut params = CkksParams::insecure_test(1);
-        params.threads = 3;
-        assert_eq!(CkksContext::new(params).threads(), 3);
-        params.threads = 0;
-        assert!(CkksContext::new(params).threads() >= 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::cipher::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::{Encoder, Plaintext};
 use crate::keys::{rotation_to_galois, GaloisKeys, KeyCache, KswKey, RelinKey};
-use crate::par;
 use crate::poly::RnsPoly;
 use crate::pool::{PolyPool, PoolStats};
 
@@ -433,13 +432,8 @@ impl<'c> Evaluator<'c> {
         let l = d.level();
         let mut dc = d.clone_in(pool);
         dc.to_coeff(ctx);
-        let out = {
-            let dc = &dc;
-            // Each digit's lifted polynomial is built independently; fan the
-            // digits across the worker threads. Every limb of every digit is
-            // fully overwritten below, so raw (unzeroed) checkouts suffice.
-            let est = par::cost::POINTWISE * (ctx.degree() * (l + 1)) as u64;
-            par::map_range(ctx.threads(), est, l, |j| {
+        let out = (0..l)
+            .map(|j| {
                 let mut lifted = RnsPoly::zero_in(pool, ctx, l, true, false);
                 for i in 0..l {
                     let m = ctx.moduli()[i];
@@ -455,7 +449,7 @@ impl<'c> Evaluator<'c> {
                 }
                 lifted
             })
-        };
+            .collect();
         dc.recycle(pool);
         out
     }
@@ -597,7 +591,6 @@ mod tests {
                 modulus_bits: 45,
                 special_bits: 46,
                 error_std: 3.2,
-                threads: 1,
             }),
         }
     }
@@ -894,7 +887,6 @@ mod hoisted_rotation_tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         });
         let mut rng = StdRng::seed_from_u64(11);
         let kg = KeyGenerator::new(&ctx, &mut rng);

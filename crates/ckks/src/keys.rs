@@ -397,7 +397,6 @@ mod tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         })
     }
 

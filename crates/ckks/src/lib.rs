@@ -29,7 +29,7 @@
 //!                encrypt_symmetric, decrypt, GaloisKeys};
 //! use rand::SeedableRng;
 //! let ctx = CkksContext::new(CkksParams { poly_degree: 256, max_level: 2,
-//!     modulus_bits: 45, special_bits: 46, error_std: 3.2, threads: 1 });
+//!     modulus_bits: 45, special_bits: 46, error_std: 3.2 });
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let kg = KeyGenerator::new(&ctx, &mut rng);
 //! let sk = kg.secret_key();
@@ -43,8 +43,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![warn(clippy::undocumented_unsafe_blocks)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod bigint;
 mod cipher;
@@ -54,7 +53,6 @@ mod eval;
 mod keys;
 pub mod modular;
 pub mod ntt;
-pub mod par;
 pub mod poly;
 pub mod pool;
 pub mod primes;
@@ -69,5 +67,4 @@ pub use keys::{
     rotation_to_galois, GaloisKeys, KeyCache, KeyCacheStats, KeyGenerator, PublicKey, RelinKey,
     SecretKey,
 };
-pub use par::Pool;
 pub use pool::{PolyPool, PoolStats};

@@ -5,7 +5,6 @@ use rand::Rng;
 use crate::context::CkksContext;
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
-use crate::par;
 use crate::pool::PolyPool;
 
 /// A polynomial in RNS form: one residue vector (length `N`) per active
@@ -139,7 +138,7 @@ impl RnsPoly {
 
     /// Modulus for limb `idx` of a poly with `count` limbs, the last of
     /// which is the special prime iff `special` — the borrow-free twin of
-    /// [`RnsPoly::modulus_of`] for use inside per-limb closures that hold
+    /// [`RnsPoly::modulus_of`] for use inside per-limb loops that hold
     /// `&mut` on the limb storage.
     fn modulus_at(ctx: &CkksContext, special: bool, count: usize, idx: usize) -> Modulus {
         if special && idx == count - 1 {
@@ -231,31 +230,27 @@ impl RnsPoly {
         Self::from_signed_coeffs(ctx, level, special, &coeffs)
     }
 
-    /// Converts to NTT domain (no-op if already there). Limbs transform
-    /// independently and fan out across the context's worker threads.
+    /// Converts to NTT domain (no-op if already there).
     pub fn to_ntt(&mut self, ctx: &CkksContext) {
         if self.ntt {
             return;
         }
         let (special, count) = (self.special, self.limbs.len());
-        let est = par::cost::NTT * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
             Self::table_at(ctx, special, count, idx).forward(limb);
-        });
+        }
         self.ntt = true;
     }
 
-    /// Converts to coefficient domain (no-op if already there). Limbs
-    /// transform independently and fan out across worker threads.
+    /// Converts to coefficient domain (no-op if already there).
     pub fn to_coeff(&mut self, ctx: &CkksContext) {
         if !self.ntt {
             return;
         }
         let (special, count) = (self.special, self.limbs.len());
-        let est = par::cost::NTT * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
             Self::table_at(ctx, special, count, idx).inverse(limb);
-        });
+        }
         self.ntt = false;
     }
 
@@ -320,13 +315,12 @@ impl RnsPoly {
         assert!(self.ntt, "polynomial product requires NTT domain");
         let mut out = self.clone();
         let (special, count) = (out.special, out.limbs.len());
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut out.limbs, |idx, limb| {
+        for (idx, limb) in out.limbs.iter_mut().enumerate() {
             let m = Self::modulus_at(ctx, special, count, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
-        });
+        }
         out
     }
 
@@ -341,13 +335,12 @@ impl RnsPoly {
         self.check_compatible(other);
         assert!(self.ntt, "polynomial product requires NTT domain");
         let (special, count) = (self.special, self.limbs.len());
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut self.limbs, |idx, limb| {
+        for (idx, limb) in self.limbs.iter_mut().enumerate() {
             let m = Self::modulus_at(ctx, special, count, idx);
             for (a, &b) in limb.iter_mut().zip(&other.limbs[idx]) {
                 *a = m.mul(*a, b);
             }
-        });
+        }
     }
 
     /// `self · other` accumulated into `acc` (`acc += self ∘ other`),
@@ -358,13 +351,12 @@ impl RnsPoly {
         self.check_compatible(acc);
         assert!(self.ntt, "polynomial product requires NTT domain");
         let (special, count) = (acc.special, acc.limbs.len());
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
+        for (idx, limb) in acc.limbs.iter_mut().enumerate() {
             let m = Self::modulus_at(ctx, special, count, idx);
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(&other.limbs[idx]) {
                 *a = m.add(*a, m.mul(x, y));
             }
-        });
+        }
     }
 
     /// Like [`RnsPoly::mul_acc`], with `key` a full-basis key polynomial
@@ -385,8 +377,7 @@ impl RnsPoly {
         assert_eq!(key.level, ctx.max_level(), "key polys carry the full basis");
         assert!(self.level <= key.level);
         let (special, count) = (acc.special, acc.limbs.len());
-        let est = par::cost::POINTWISE * ctx.degree() as u64;
-        par::for_each(ctx.threads(), est, &mut acc.limbs, |idx, limb| {
+        for (idx, limb) in acc.limbs.iter_mut().enumerate() {
             let m = Self::modulus_at(ctx, special, count, idx);
             let key_limb = if special && idx == count - 1 {
                 key.limbs.last().expect("special limb")
@@ -396,7 +387,7 @@ impl RnsPoly {
             for ((a, &x), &y) in limb.iter_mut().zip(&self.limbs[idx]).zip(key_limb) {
                 *a = m.add(*a, m.mul(x, y));
             }
-        });
+        }
     }
 
     /// Drops the basis down to `new_level` chain limbs (and drops the
@@ -462,28 +453,25 @@ impl RnsPoly {
         ctx.table(j).inverse(&mut last);
         let qj = ctx.moduli()[j];
         let half = qj.value() / 2;
-        {
-            let last = &last;
-            let est = par::cost::NTT * ctx.degree() as u64;
-            par::for_each_with_scratch(ctx.threads(), est, &mut self.limbs, |i, limb, corr| {
-                let mi = ctx.moduli()[i];
-                // Centered lift of [x]_{q_j} reduced mod q_i, then NTT under
-                // q_i (built in the worker's reused scratch buffer).
-                corr.clear();
-                corr.extend(last.iter().map(|&v| {
-                    // center to (−q_j/2, q_j/2] to keep the subtraction small
-                    if v > half {
-                        mi.sub(0, mi.reduce(qj.value() - v))
-                    } else {
-                        mi.reduce(v)
-                    }
-                }));
-                ctx.table(i).forward(corr);
-                let (inv, inv_shoup) = ctx.rescale_inv(j, i);
-                for (a, &c) in limb.iter_mut().zip(corr.iter()) {
-                    *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
+        let mut corr = Vec::with_capacity(last.len());
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let mi = ctx.moduli()[i];
+            // Centered lift of [x]_{q_j} reduced mod q_i, then NTT under
+            // q_i (built in one scratch buffer reused across limbs).
+            corr.clear();
+            corr.extend(last.iter().map(|&v| {
+                // center to (−q_j/2, q_j/2] to keep the subtraction small
+                if v > half {
+                    mi.sub(0, mi.reduce(qj.value() - v))
+                } else {
+                    mi.reduce(v)
                 }
-            });
+            }));
+            ctx.table(i).forward(&mut corr);
+            let (inv, inv_shoup) = ctx.rescale_inv(j, i);
+            for (a, &c) in limb.iter_mut().zip(&corr) {
+                *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
+            }
         }
         if let Some(pool) = pool {
             pool.put([last]);
@@ -514,25 +502,22 @@ impl RnsPoly {
         ctx.special_table().inverse(&mut last);
         let p = ctx.special();
         let half = p.value() / 2;
-        {
-            let last = &last;
-            let est = par::cost::NTT * ctx.degree() as u64;
-            par::for_each_with_scratch(ctx.threads(), est, &mut self.limbs, |i, limb, corr| {
-                let mi = ctx.moduli()[i];
-                corr.clear();
-                corr.extend(last.iter().map(|&v| {
-                    if v > half {
-                        mi.sub(0, mi.reduce(p.value() - v))
-                    } else {
-                        mi.reduce(v)
-                    }
-                }));
-                ctx.table(i).forward(corr);
-                let (inv, inv_shoup) = ctx.special_inv(i);
-                for (a, &c) in limb.iter_mut().zip(corr.iter()) {
-                    *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
+        let mut corr = Vec::with_capacity(last.len());
+        for (i, limb) in self.limbs.iter_mut().enumerate() {
+            let mi = ctx.moduli()[i];
+            corr.clear();
+            corr.extend(last.iter().map(|&v| {
+                if v > half {
+                    mi.sub(0, mi.reduce(p.value() - v))
+                } else {
+                    mi.reduce(v)
                 }
-            });
+            }));
+            ctx.table(i).forward(&mut corr);
+            let (inv, inv_shoup) = ctx.special_inv(i);
+            for (a, &c) in limb.iter_mut().zip(&corr) {
+                *a = mi.mul_shoup(mi.sub(*a, c), inv, inv_shoup);
+            }
         }
         if let Some(pool) = pool {
             pool.put([last]);
@@ -607,7 +592,6 @@ mod tests {
             modulus_bits: 40,
             special_bits: 41,
             error_std: 3.2,
-            threads: 1,
         })
     }
 

@@ -10,15 +10,16 @@
 //! the owner recycles it.
 //!
 //! The pool is built for concurrent traffic: the op-level DAG executor
-//! checks polynomials out from every pool worker at once, on top of the
-//! per-digit key-switch fan-out. The free list is sharded (each thread
-//! has a home shard, falling back to its siblings when empty) so
-//! checkouts don't serialize on one lock, and every counter is an atomic
-//! whose value stays *exact* under contention — hit-rate and peak-byte
-//! metering feed the memory model, so approximate counters would poison
-//! the calibration. Peak tracking relies on the post-increment value of
-//! `live_bytes`: the thread whose increment produces the high-water mark
-//! observes that exact value and publishes it with `fetch_max`.
+//! checks polynomials out from every runner thread at once, and a serving
+//! layer shares one pool across concurrent requests. The free list is
+//! sharded (each thread has a home shard, falling back to its siblings
+//! when empty) so checkouts don't serialize on one lock, and every
+//! counter is an atomic whose value stays *exact* under contention —
+//! hit-rate and peak-byte metering feed the memory model, so approximate
+//! counters would poison the calibration. Peak tracking relies on the
+//! post-increment value of `live_bytes`: the thread whose increment
+//! produces the high-water mark observes that exact value and publishes
+//! it with `fetch_max`.
 
 //! All counters and shard locks come from the [`fhe_conc::sync`] facade,
 //! so checker builds (`--cfg fhe_conc`) can exhaustively interleave
@@ -34,7 +35,7 @@ use fhe_conc::sync::atomic::{AtomicU64, Ordering};
 use fhe_conc::sync::Mutex;
 
 /// Number of free-list shards. A small power of two: enough to spread
-/// the handful of pool workers, cheap to scan when a home shard is dry.
+/// the handful of runner threads, cheap to scan when a home shard is dry.
 const SHARDS: usize = 8;
 
 /// Hands each thread a home shard, round-robin across all threads that

@@ -91,7 +91,6 @@ mod tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         };
         assert_eq!(meets(&params, SecurityLevel::Bits128), None);
     }

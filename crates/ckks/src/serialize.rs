@@ -390,7 +390,6 @@ mod tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         })
     }
 
@@ -645,7 +644,6 @@ mod tests {
             modulus_bits: 45,
             special_bits: 46,
             error_std: 3.2,
-            threads: 1,
         });
         let enc = Encoder::new(&ctx_a);
         let pt = enc.encode(&[1.0], 2f64.powi(30), 1);

@@ -625,7 +625,6 @@ fn check_executors(
         let backend = ExecOptions {
             poly_degree: scheduled.program.slots() * 2,
             seed: cfg.ckks_seed,
-            threads: 1,
             ..ExecOptions::default()
         };
         executors.push((

@@ -7,7 +7,9 @@
 //! of rotation hoisting) by `k` runners. Each runner pops the ready node
 //! earliest in schedule order from a shared [`DepConsumer`], executes it
 //! against one shared [`Evaluator`] and retires it. With `k > 1` the
-//! runners sit on the process-wide [`Pool`]. The serial entry points
+//! calling thread is one runner and `k − 1` scoped threads are the rest;
+//! this op-level walk is the runtime's only parallelism (every CKKS kernel
+//! runs its RNS limbs serially). The serial entry points
 //! ([`execute`], [`execute_with_keys`]) are the `workers = 1, fusion =
 //! false` walk: every DAG edge points forward in the schedule, so one
 //! runner visits the ops in exact schedule order.
@@ -41,7 +43,7 @@ use rand::SeedableRng;
 
 use fhe_ckks::{
     decrypt, encrypt_symmetric, Ciphertext, CkksContext, CkksParams, Evaluator, GaloisKeys,
-    KeyCache, KeyGenerator, PolyPool, Pool, RelinKey, SecretKey,
+    KeyCache, KeyGenerator, PolyPool, RelinKey, SecretKey,
 };
 use fhe_ir::{
     CostModel, DepConsumer, DepGraph, DepNode, FusionPlan, Op, OpClass, ScaleMap, ScheduleError,
@@ -89,9 +91,9 @@ pub struct ExecOptions {
     pub poly_degree: usize,
     /// RNG seed for key generation and encryption randomness.
     pub seed: u64,
-    /// Worker threads for the backend's per-limb fan-out (see
-    /// [`CkksParams::threads`]): `0` = auto-detect, `1` = serial. Results
-    /// are bit-identical for every value.
+    /// Ignored. Kernels run their RNS limbs serially and the only
+    /// parallelism is the op-level walk ([`ParOptions::workers`]). The
+    /// field stays so existing struct literals keep compiling.
     pub threads: usize,
     /// Galois-key provisioning policy.
     pub keys: KeyPolicy,
@@ -117,12 +119,13 @@ impl Default for ExecOptions {
 /// Options for a DAG walk with more than one runner or with fusion.
 #[derive(Debug, Clone)]
 pub struct ParOptions {
-    /// Backend configuration (degree, seed, key policy, per-limb threads,
-    /// rotation hoisting).
+    /// Backend configuration (degree, seed, key policy, rotation
+    /// hoisting).
     pub exec: ExecOptions,
-    /// Op-level runners walking the DAG: `0` = auto (the global pool's
-    /// worker count), `1` = the serial walk on the calling thread.
-    /// Results are bit-identical for every value.
+    /// Op-level runners walking the DAG: `0` = auto
+    /// ([`std::thread::available_parallelism`]), `1` = the serial walk on
+    /// the calling thread, `k` = the calling thread plus `k − 1` scoped
+    /// threads. Results are bit-identical for every value.
     pub workers: usize,
     /// Execute fusible mul→rescale pairs as one fused mul·relin·rescale
     /// kernel. Bit-identical either way; fusion skips materializing the
@@ -176,8 +179,8 @@ pub struct SessionKeys {
 
 impl SessionKeys {
     /// Generates key material for programs of the given shape: polynomial
-    /// degree and per-limb threads come from `options`, the modulus chain
-    /// from `(max_level, modulus_bits)`. Under [`KeyPolicy::EagerProgram`]
+    /// degree comes from `options`, the modulus chain from
+    /// `(max_level, modulus_bits)`. Under [`KeyPolicy::EagerProgram`]
     /// the static Galois set covers `rotation_steps` (callers pass the
     /// union of rotation steps the sessions' programs use); the other
     /// policies ignore it.
@@ -204,7 +207,6 @@ impl SessionKeys {
             modulus_bits,
             special_bits: modulus_bits.min(60) + 1,
             error_std: 3.2,
-            threads: options.threads,
         }));
         let mut rng = StdRng::seed_from_u64(options.seed);
         let kg = KeyGenerator::new(&ctx, &mut rng);
@@ -615,7 +617,7 @@ fn walk(
     let clear = plain::values(program, inputs);
 
     let workers = match options.workers {
-        0 => Pool::global().workers().max(1),
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         w => w,
     };
     let walk = Walk {
@@ -667,7 +669,7 @@ fn walk(
     };
     // A panicking runner wakes the parked ones before unwinding, so the
     // panic reaches the caller instead of stranding them.
-    let runner = |_: usize| {
+    let runner = || {
         if let Err(panic) = catch_unwind(AssertUnwindSafe(steps)) {
             lock(&frontier).panicked = true;
             ready.notify_all();
@@ -677,9 +679,18 @@ fn walk(
 
     let t_walk = Instant::now();
     if workers == 1 {
-        runner(0);
+        runner();
     } else {
-        Pool::global().run(workers, workers, &runner);
+        // The caller is the first runner. Every runner is joined before the
+        // first panic payload is re-raised, so none outlives the walk.
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(runner)).collect();
+            let own = catch_unwind(AssertUnwindSafe(runner));
+            let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+            if let Some(panic) = std::iter::once(own).chain(joined).find_map(Result::err) {
+                resume_unwind(panic);
+            }
+        });
     }
     let walk_time = t_walk.elapsed();
     let f = frontier.into_inner().expect("no runner panicked");
@@ -965,7 +976,6 @@ mod tests {
         ExecOptions {
             poly_degree: 256,
             seed: 3,
-            threads: 1,
             ..ExecOptions::default()
         }
     }
@@ -1150,7 +1160,6 @@ mod dag_tests {
         ExecOptions {
             poly_degree: 256,
             seed: 3,
-            threads: 1,
             ..ExecOptions::default()
         }
     }
@@ -1331,6 +1340,24 @@ mod dag_tests {
             &ParOptions {
                 exec: exec_opts(),
                 workers: 4,
+                fusion: true,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too many slot values")]
+    fn a_runner_panic_reaches_the_caller_with_its_own_payload() {
+        // The walk joins every runner and re-raises the first panic's
+        // payload, whichever thread it ran on.
+        let s = fig2a();
+        let binds = inputs(&[("x", vec![0.5; 4096]), ("y", vec![0.25; 128])]);
+        let _ = execute_parallel(
+            &s,
+            &binds,
+            &ParOptions {
+                exec: exec_opts(),
+                workers: 3,
                 fusion: true,
             },
         );

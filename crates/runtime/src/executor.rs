@@ -324,8 +324,8 @@ impl Executor for CkksExec {
 }
 
 /// Real encrypted execution with the walk's parallel knobs
-/// ([`ckks_exec::execute_parallel`]): op-level parallelism on the
-/// persistent work-stealing pool and fused mul·relin·rescale. Outputs are
+/// ([`ckks_exec::execute_parallel`]): op-level runners on scoped threads
+/// and fused mul·relin·rescale. Outputs are
 /// byte-identical to [`CkksExec`] at the same backend options.
 #[derive(Debug, Clone, Default)]
 pub struct ParCkksExec {
@@ -407,7 +407,6 @@ mod tests {
                 options: ExecOptions {
                     poly_degree: 256,
                     seed: 3,
-                    threads: 1,
                     ..ExecOptions::default()
                 },
             }),
@@ -427,7 +426,6 @@ mod tests {
             options: ExecOptions {
                 poly_degree: 256,
                 seed: 3,
-                threads: 1,
                 ..ExecOptions::default()
             },
         }
@@ -465,7 +463,6 @@ mod tests {
             options: ExecOptions {
                 poly_degree: 128,
                 seed: 9,
-                threads: 1,
                 ..ExecOptions::default()
             },
         }

@@ -117,7 +117,6 @@ pub fn calibrate_backend(
         modulus_bits: rescale_bits,
         special_bits: rescale_bits.min(60) + 1,
         error_std: 3.2,
-        threads: 1,
     };
     calibrate(params, levels, reps, seed)
 }
@@ -129,14 +128,13 @@ mod tests {
     #[test]
     fn latency_shape_matches_table3() {
         // Small parameters; assert the *shape*, not absolute numbers:
-        // cost grows with level, and mul ≫ rotate ≫ rescale ≫ adds.
+        // cost grows with level, and mul and rotate ≫ rescale ≫ adds.
         let params = CkksParams {
             poly_degree: 1 << 10,
             max_level: 4,
             modulus_bits: 40,
             special_bits: 41,
             error_std: 3.2,
-            threads: 1,
         };
         let rows = measure(params, 3, 2, 42);
         let get = |c: OpClass| -> &Vec<f64> {
@@ -163,7 +161,6 @@ mod tests {
             modulus_bits: 40,
             special_bits: 41,
             error_std: 3.2,
-            threads: 1,
         };
         let model = calibrate(params, 2, 1, 7);
         for &class in OpClass::ALL.iter() {

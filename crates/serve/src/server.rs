@@ -794,7 +794,6 @@ mod tests {
             exec: ExecOptions {
                 poly_degree: 256,
                 seed,
-                threads: 1,
                 ..ExecOptions::default()
             },
             workers: 1,

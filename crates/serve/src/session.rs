@@ -1,11 +1,10 @@
 //! Per-session state: key material, execution options, quarantine.
 //!
 //! A session owns its keys. All sessions share the server's compile
-//! cache, per-degree polynomial pools and the persistent work-stealing
-//! pool, but key material ([`SessionKeys`]: secret, relinearization,
-//! Galois) is generated per session from the session's own seed and is
-//! never visible to another session — the isolation boundary of the
-//! service layer.
+//! cache and per-degree polynomial pools, but key material
+//! ([`SessionKeys`]: secret, relinearization, Galois) is generated per
+//! session from the session's own seed and is never visible to another
+//! session — the isolation boundary of the service layer.
 //!
 //! Key material is cached per *shape* (modulus chain depth, rescale
 //! bits, and — under eager provisioning — the program's rotation steps),

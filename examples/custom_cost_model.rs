@@ -20,7 +20,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         modulus_bits: 45,
         special_bits: 46,
         error_std: 3.2,
-        threads: 1,
     };
     println!("measuring backend op latencies (N = 2^11, levels 1-4)...");
     let rows = runtime::microbench::measure(params, 4, 2, 1);

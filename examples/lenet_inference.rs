@@ -73,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runtime::ExecOptions {
             poly_degree: 256,
             seed: 5,
-            threads: 1,
             ..runtime::ExecOptions::default()
         },
     )

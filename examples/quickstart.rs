@@ -66,7 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runtime::ExecOptions {
             poly_degree: 2 * slots,
             seed: 42,
-            threads: 1,
             ..runtime::ExecOptions::default()
         },
     )

@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runtime::ExecOptions {
             poly_degree: 2 * n,
             seed: 77,
-            threads: 1,
             ..runtime::ExecOptions::default()
         },
     )

@@ -77,7 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runtime::ExecOptions {
             poly_degree: 2 * width * width,
             seed: 3,
-            threads: 1,
             ..runtime::ExecOptions::default()
         },
     )

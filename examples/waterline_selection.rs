@@ -58,7 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &runtime::ExecOptions {
             poly_degree: 2 * slots,
             seed: 8,
-            threads: 1,
             ..runtime::ExecOptions::default()
         },
     )

@@ -2,14 +2,14 @@
 //! machine-readable [`ConcReport`].
 //!
 //! In checker builds (`RUSTFLAGS="--cfg fhe_conc"`) this explores
-//! interleavings for real: the two planted regressions (the PR 7
-//! scan→park race, the PR 9 submit/shutdown race) must be *rediscovered*
-//! — their records count as passed only when the checker finds the bug —
-//! and the fixed protocols must survive every explored schedule. In
-//! ordinary builds the checker-only skeletons don't exist; the models
-//! over shipped types (`Pool`, `CompileCache`, `PolyPool`) run once with
-//! real threads and report `"passthrough"`, so the binary stays useful as
-//! a cheap smoke test in both build modes.
+//! interleavings for real: the two planted regressions (the walk's
+//! panic→park hang, the serve queue's submit/shutdown race) must be
+//! *rediscovered* — their records count as passed only when the checker
+//! finds the bug — and the fixed protocols must survive every explored
+//! schedule. In ordinary builds the checker-only skeletons don't exist;
+//! the models over shipped types (`CompileCache`, `PolyPool`) run once
+//! with real threads and report `"passthrough"`, so the binary stays
+//! useful as a cheap smoke test in both build modes.
 //!
 //! Usage: `conc_smoke [--json]`. `--json` prints the report to stdout in
 //! the hand-rolled JSON shape of [`ConcReport::to_json`]; without it a
@@ -20,18 +20,12 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fhe_ckks::{PolyPool, Pool};
-use fhe_conc::sync::atomic::{AtomicUsize, Ordering};
+use fhe_ckks::PolyPool;
 use fhe_conc::sync::{thread, Arc};
 use fhe_conc::{check, ConcReport, Config, ModelRecord};
 use fhe_ir::{text, CompileParams};
 use fhe_serve::CompileCache;
 use reserve_core::ReserveCompiler;
-
-/// Same committed seed as `tests/conc_models.rs`, so a CI failure here
-/// replays bit-identically under the test suite.
-const PCT_SEED: u64 = 0x5EED_CAFE_F00D_0001;
-const PCT_EXECUTIONS: u64 = 200;
 
 /// One entry in the smoke suite. `expect_failure` marks the planted
 /// regressions: their record passes only when the checker *finds* the
@@ -51,16 +45,6 @@ fn tiny_program(name: &str) -> fhe_ir::Program {
 }
 
 // ---- models over shipped types (compile in both build modes) ----
-
-fn pool_run_drop() {
-    let pool = Pool::new(1);
-    let hits = AtomicUsize::new(0);
-    pool.run(2, 2, &|_| {
-        hits.fetch_add(1, Ordering::SeqCst);
-    });
-    assert_eq!(hits.load(Ordering::SeqCst), 2, "every job ran exactly once");
-    drop(pool);
-}
 
 fn cache_single_flight() {
     let cache = Arc::new(CompileCache::new(None));
@@ -112,13 +96,18 @@ fn polypool_counters() {
 // ---- checker-only skeletons (the planted regressions + fixes) ----
 
 #[cfg(fhe_conc)]
-fn park_unversioned() {
-    fhe_ckks::par::conc_model::park_model(false);
+fn walk_panic_unwoken() {
+    fhe_reserve::conc_model::walk_model(Some(1), false);
 }
 
 #[cfg(fhe_conc)]
-fn park_versioned() {
-    fhe_ckks::par::conc_model::park_model(true);
+fn walk_panic_woken() {
+    fhe_reserve::conc_model::walk_model(Some(1), true);
+}
+
+#[cfg(fhe_conc)]
+fn walk_frontier() {
+    fhe_reserve::conc_model::walk_model(None, true);
 }
 
 #[cfg(fhe_conc)]
@@ -137,15 +126,8 @@ fn quarantine_admission() {
 }
 
 fn suite() -> Vec<Spec> {
-    let pct = || Config::pct(PCT_SEED, PCT_EXECUTIONS);
     #[allow(unused_mut)]
     let mut specs = vec![
-        Spec {
-            name: "pool-run-drop",
-            config: pct(),
-            expect_failure: false,
-            run: pool_run_drop,
-        },
         Spec {
             name: "cache-single-flight",
             config: Config::exhaustive(),
@@ -162,16 +144,22 @@ fn suite() -> Vec<Spec> {
     #[cfg(fhe_conc)]
     specs.extend([
         Spec {
-            name: "park-unversioned",
+            name: "walk-panic-unwoken",
             config: Config::exhaustive(),
             expect_failure: true,
-            run: park_unversioned,
+            run: walk_panic_unwoken,
         },
         Spec {
-            name: "park-versioned",
+            name: "walk-panic-woken",
             config: Config::exhaustive(),
             expect_failure: false,
-            run: park_versioned,
+            run: walk_panic_woken,
+        },
+        Spec {
+            name: "walk-frontier",
+            config: Config::exhaustive(),
+            expect_failure: false,
+            run: walk_frontier,
         },
         Spec {
             name: "submit-shutdown-unchecked",

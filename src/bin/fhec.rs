@@ -202,7 +202,6 @@ fn main() -> ExitCode {
             exec: ExecOptions {
                 poly_degree: scheduled.program.slots() * 2,
                 seed: 0xF4EC,
-                threads: 1,
                 ..ExecOptions::default()
             },
             workers: cli.workers,

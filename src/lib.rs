@@ -62,6 +62,9 @@ pub use fhe_serve as serve;
 pub use fhe_workloads as workloads;
 pub use reserve_core as compiler;
 
+#[cfg(fhe_conc)]
+#[doc(hidden)]
+pub mod conc_model;
 pub mod lint;
 
 /// The most common imports in one place.

@@ -5,16 +5,17 @@
 //! Two planted regressions anchor the suite — the checker must *find*
 //! them, not merely pass the fixed code:
 //!
-//! - the PR 7 scan→park race in the work-stealing pool (a worker that
-//!   parks without re-checking the submission version sleeps through a
-//!   concurrent push: lost wakeup);
+//! - the encrypted walk's panic→park hang (a runner that unwinds without
+//!   waking its parked siblings leaves them waiting on a completion that
+//!   never comes);
 //! - the PR 9 submit/shutdown race in the serve layer (a submitter that
 //!   only checks the shutdown flag before taking the queue lock strands
 //!   its ticket on a drained queue).
 //!
-//! The fixed protocols then pass exhaustively (small models) or across
-//! committed PCT seeds (the real `Pool`/`CompileCache`/`PolyPool` types,
-//! whose per-execution step counts are too large for full enumeration).
+//! The fixed protocols then pass exhaustively (the skeletons and the
+//! small models over the real `CompileCache`/`PolyPool` types) or across
+//! committed PCT seeds (the `CompileCache` LRU model, whose per-execution
+//! step count is too large for full enumeration).
 //!
 //! Run with: `RUSTFLAGS="--cfg fhe_conc" cargo test --test conc_models`
 //! (the `conc-smoke` CI job; in ordinary builds this file is empty).
@@ -23,12 +24,12 @@
 use std::collections::HashMap;
 use std::sync::Mutex as StdMutex;
 
-use fhe_ckks::par::conc_model::park_model;
-use fhe_ckks::{PolyPool, Pool};
+use fhe_ckks::PolyPool;
 use fhe_conc::sync::atomic::{AtomicUsize, Ordering};
 use fhe_conc::sync::{thread, Arc};
 use fhe_conc::{check, Config, FailureKind, Mode};
 use fhe_ir::{text, CompileParams};
+use fhe_reserve::conc_model::walk_model;
 use fhe_serve::server::conc_model::{quarantine_admission_model, submit_shutdown_model};
 use fhe_serve::CompileCache;
 use reserve_core::ReserveCompiler;
@@ -62,18 +63,20 @@ fn pct() -> Config {
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing pool: scan→park protocol (PR 7 race)
+// Encrypted walk: frontier park/complete/panic protocol
 // ---------------------------------------------------------------------
 
 #[test]
-fn park_without_version_check_loses_the_wakeup() {
-    let outcome = check("park-unversioned", exhaustive(), || park_model(false));
+fn walk_panic_without_a_wake_strands_a_parked_runner() {
+    let outcome = check("walk-panic-unwoken", exhaustive(), || {
+        walk_model(Some(1), false)
+    });
     let failure = outcome
         .failure
-        .expect("the checker must rediscover the scan→park race");
+        .expect("the checker must rediscover the panic→park hang");
     assert!(
-        matches!(failure.kind, FailureKind::Deadlock { lost_wakeup: true }),
-        "the race manifests as a lost wakeup, got {failure:?}"
+        matches!(failure.kind, FailureKind::Deadlock { .. }),
+        "the parked runner and the joining caller block forever, got {failure:?}"
     );
     assert!(
         !failure.trace.is_empty(),
@@ -82,31 +85,29 @@ fn park_without_version_check_loses_the_wakeup() {
 }
 
 #[test]
-fn versioned_park_protocol_passes_exhaustively() {
-    let outcome = check("park-versioned", exhaustive_unbounded(), || {
-        park_model(true)
+fn walk_panic_with_a_wake_passes_exhaustively() {
+    for node in 0..4 {
+        let outcome = check("walk-panic-woken", exhaustive_unbounded(), move || {
+            walk_model(Some(node), true)
+        });
+        assert!(
+            outcome.passed(),
+            "panic at node {node}: {:?}",
+            outcome.failure
+        );
+        assert!(outcome.complete, "small model fully explored");
+        assert!(outcome.executions >= 2);
+    }
+}
+
+#[test]
+fn walk_retires_every_node_exactly_once_exhaustively() {
+    let outcome = check("walk-frontier", exhaustive_unbounded(), || {
+        walk_model(None, true)
     });
     assert!(outcome.passed(), "{:?}", outcome.failure);
     assert!(outcome.complete, "small model fully explored");
     assert!(outcome.executions >= 2);
-}
-
-#[test]
-fn real_pool_run_and_drop_pass_under_pct() {
-    // The shipped Pool end-to-end: spawn one worker, run a two-job batch
-    // (submitter participates in its own batch), then drop — the drop
-    // must wake and retire the parked worker in every sampled schedule.
-    let outcome = check("pool-run-drop", pct(), || {
-        let pool = Pool::new(1);
-        let hits = AtomicUsize::new(0);
-        pool.run(2, 2, &|_| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "every job ran exactly once");
-        drop(pool);
-    });
-    assert!(outcome.passed(), "{:?}", outcome.failure);
-    assert_eq!(outcome.executions, PCT_EXECUTIONS);
 }
 
 // ---------------------------------------------------------------------
@@ -292,9 +293,9 @@ fn pool_counters_are_exact_in_every_interleaving() {
 
 #[test]
 fn exhaustive_models_here_really_explore_multiple_schedules() {
-    // Meta-check: the park skeleton visits both the race window and the
-    // benign orders; recording distinct first-parked-thread observations
-    // guards against a scheduler regression that silently serializes.
+    // Meta-check: a two-thread race visits both orders; recording distinct
+    // observations guards against a scheduler regression that silently
+    // serializes.
     let observed: Arc<StdMutex<HashMap<&'static str, u64>>> =
         Arc::new(StdMutex::new(HashMap::new()));
     let observed2 = observed.clone();

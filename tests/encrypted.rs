@@ -12,7 +12,6 @@ fn exec() -> CkksExec {
         options: ExecOptions {
             poly_degree: 256,
             seed: 99,
-            threads: 1,
             ..ExecOptions::default()
         },
     }
@@ -32,7 +31,6 @@ fn encrypted_sobel_matches_reference() {
         options: ExecOptions {
             poly_degree: 128,
             seed: 1,
-            threads: 1,
             ..ExecOptions::default()
         },
     };
@@ -108,7 +106,6 @@ fn encrypted_tiny_lenet_runs_all_eleven_levels() {
         options: ExecOptions {
             poly_degree: 256,
             seed: 4,
-            threads: 1,
             ..ExecOptions::default()
         },
     };

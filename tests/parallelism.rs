@@ -62,7 +62,6 @@ fn span_work_and_measured_latency_agree_on_the_golden_suite() {
                     options: ExecOptions {
                         poly_degree: slots * 2,
                         seed: 5,
-                        threads: 1,
                         rotation_hoisting: false,
                         ..ExecOptions::default()
                     },

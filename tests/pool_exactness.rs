@@ -43,9 +43,9 @@ fn key_budgets_and_pool_reuse_are_bit_exact() {
         let opts = |keys: KeyPolicy, hoist: bool| ExecOptions {
             poly_degree: program.slots() * 2,
             seed: 0xF00D,
-            threads: 1,
             keys,
             rotation_hoisting: hoist,
+            ..ExecOptions::default()
         };
         let unbounded = execute_encrypted(
             &compiled.scheduled,

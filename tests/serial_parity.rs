@@ -48,7 +48,6 @@ fn backend(slots: usize, seed: u64) -> ExecOptions {
     ExecOptions {
         poly_degree: slots * 2,
         seed,
-        threads: 1,
         ..ExecOptions::default()
     }
 }

@@ -78,7 +78,6 @@ fn evicted_entry_recompiles_and_executes_byte_identically() {
     let options = ExecOptions {
         poly_degree: SLOTS * 2,
         seed: 0xE51C,
-        threads: 1,
         ..ExecOptions::default()
     };
     let keys = SessionKeys::for_schedule(&original.scheduled, &options).unwrap();

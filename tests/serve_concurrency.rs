@@ -51,9 +51,9 @@ fn exec_options(s: usize, keys: KeyPolicy) -> ExecOptions {
     ExecOptions {
         poly_degree: SLOTS * 2,
         seed: session_seed(s),
-        threads: 1,
         keys,
         rotation_hoisting: true,
+        ..ExecOptions::default()
     }
 }
 

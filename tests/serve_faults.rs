@@ -31,7 +31,6 @@ fn options(seed: u64, degree: usize) -> ParOptions {
         exec: ExecOptions {
             poly_degree: degree,
             seed,
-            threads: 1,
             ..ExecOptions::default()
         },
         workers: 1,

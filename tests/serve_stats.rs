@@ -60,7 +60,6 @@ fn serve_stats_reconcile_with_per_request_trace_deltas() {
                 exec: ExecOptions {
                     poly_degree: SLOTS * 2,
                     seed: 0x57A7_5000 + s as u64,
-                    threads: 1,
                     keys: KeyPolicy::Lazy { budget_bytes: None },
                     ..ExecOptions::default()
                 },
