@@ -2,7 +2,7 @@
 //! `u128 %` reference kernels they replaced (DESIGN.md § Kernel
 //! optimization).
 //!
-//! Two groups, each reported as latency plus speedup over its baseline:
+//! Four groups, each reported as latency plus speedup over its baseline:
 //!
 //! - **modmul** — pointwise modular multiplication over a buffer: Barrett
 //!   (`Modulus::mul`) and Shoup (`Modulus::mul_shoup`, constant operand)
@@ -10,6 +10,14 @@
 //! - **ntt** — forward/inverse negacyclic NTT at `N = 2^12` and `2^13`
 //!   over a 60-bit prime: Harvey lazy butterflies vs the exact-reduction
 //!   reference transforms.
+//! - **galois** — the rotation automorphism `X ↦ X^5` on one NTT-domain
+//!   limb at `N = 2^12` and `2^13`: the slot permutation
+//!   (`RnsPoly::automorphism`, index table built per call) vs the
+//!   coefficient-domain reference (inverse NTT, signed permutation,
+//!   forward NTT).
+//! - **encode** — reducing `N = 2^13` rounded encoder coefficients at
+//!   scale `2^40` into one 50-bit limb: the integer path of
+//!   `Modulus::reduce_f64` vs the IEEE bit-pattern reference.
 //!
 //! Kernels within a group are sampled round-robin (ref, fast, ref, fast,
 //! …) and scored by their per-kernel minimum, so background-load drift
@@ -25,6 +33,8 @@ use std::time::Instant;
 use fhe_bench::{json::Json, print_table, CliArgs};
 use fhe_ckks::modular::Modulus;
 use fhe_ckks::ntt::NttTable;
+use fhe_ckks::poly::RnsPoly;
+use fhe_ckks::{CkksContext, CkksParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -167,6 +177,77 @@ fn main() {
             baseline_us: ref_inv,
         });
     }
+
+    // --- galois: X ↦ X^5 on one NTT-domain limb, 50-bit prime. ---
+    for log_n in [12u32, 13] {
+        let ctx = CkksContext::new(CkksParams {
+            poly_degree: 1 << log_n,
+            max_level: 1,
+            modulus_bits: 50,
+            special_bits: 51,
+            error_std: 3.2,
+        });
+        let mut by_reference = RnsPoly::uniform(&ctx, 1, false, &mut rng);
+        let mut by_permutation = by_reference.clone();
+        let best = time_rotation_us(
+            reps,
+            &mut [
+                &mut || by_reference.automorphism_reference(&ctx, 5),
+                &mut || by_permutation.automorphism(&ctx, 5),
+            ],
+        );
+        // Both saw the same number of applications, so they must agree.
+        assert_eq!(by_reference, by_permutation, "galois kernels diverged");
+        rows.push(Row {
+            group: "galois",
+            name: format!("X^5 2^{log_n} coefficient reference"),
+            us: best[0],
+            baseline_us: best[0],
+        });
+        rows.push(Row {
+            group: "galois",
+            name: format!("X^5 2^{log_n} ntt permutation"),
+            us: best[1],
+            baseline_us: best[0],
+        });
+    }
+
+    // --- encode: rounded coefficients at scale 2^40 into one limb. ---
+    let q = fhe_ckks::primes::ntt_primes(50, 1 << 13, 1)[0];
+    let m = Modulus::new(q);
+    let coeffs: Vec<f64> = (0..1usize << 13)
+        .map(|_| (rng.gen_range(-1.0f64..1.0) * 2f64.powi(40)).round())
+        .collect();
+    let mut by_reference = vec![0u64; coeffs.len()];
+    let mut by_integer = vec![0u64; coeffs.len()];
+    let best = time_rotation_us(
+        reps,
+        &mut [
+            &mut || {
+                for (r, &c) in by_reference.iter_mut().zip(&coeffs) {
+                    *r = m.reduce_f64_reference(c);
+                }
+            },
+            &mut || {
+                for (r, &c) in by_integer.iter_mut().zip(&coeffs) {
+                    *r = m.reduce_f64(c);
+                }
+            },
+        ],
+    );
+    assert_eq!(by_reference, by_integer, "encode reductions diverged");
+    rows.push(Row {
+        group: "encode",
+        name: format!("reduce_f64 reference ({} coeffs)", coeffs.len()),
+        us: best[0],
+        baseline_us: best[0],
+    });
+    rows.push(Row {
+        group: "encode",
+        name: "reduce_f64 integer path".into(),
+        us: best[1],
+        baseline_us: best[0],
+    });
 
     println!("Kernel microbenchmarks (best of {reps} interleaved rounds, us).\n");
     let headers = ["group", "kernel", "us", "speedup"];

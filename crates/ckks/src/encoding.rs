@@ -162,6 +162,15 @@ impl<'c> Encoder<'c> {
     pub fn encode(&self, values: &[f64], scale: f64, level: usize) -> Plaintext {
         assert!(values.len() <= self.slots(), "too many slot values");
         assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
+        let coeffs = self.scaled_coeffs(values, scale);
+        let mut poly = RnsPoly::from_real_coeffs(self.ctx, level, false, &coeffs);
+        poly.to_ntt(self.ctx);
+        Plaintext { poly, scale, level }
+    }
+
+    /// The real coefficients (scaled, not yet rounded) of the polynomial
+    /// whose canonical embedding is `values`.
+    fn scaled_coeffs(&self, values: &[f64], scale: f64) -> Vec<f64> {
         let n = self.ctx.degree();
         let mut spectrum = vec![Complex::default(); n];
         for (j, &bin) in self.slot_to_bin.iter().enumerate() {
@@ -172,14 +181,11 @@ impl<'c> Encoder<'c> {
         // Interpolate: coefficients of the twisted polynomial...
         fft(&mut spectrum, true);
         // ...then untwist: c_k = twisted_k · ζ^{-k}.
-        let coeffs: Vec<f64> = spectrum
+        spectrum
             .iter()
             .enumerate()
             .map(|(k, &t)| t.mul(self.twist[k].conj()).re * scale)
-            .collect();
-        let mut poly = RnsPoly::from_real_coeffs(self.ctx, level, false, &coeffs);
-        poly.to_ntt(self.ctx);
-        Plaintext { poly, scale, level }
+            .collect()
     }
 
     /// Decodes a plaintext back to real slot values.
@@ -307,6 +313,35 @@ mod tests {
                 a[i] * b[i]
             );
         }
+    }
+
+    #[test]
+    fn encode_matches_the_bit_pattern_reduction_at_every_scale() {
+        // `reduce_f64`'s integer fast path against the reference reduction,
+        // scale by scale. The constant 3 puts coefficient 0 at 3·scale, so
+        // at 2^62 it passes 2^63 and takes the fallback.
+        let ctx = ctx();
+        let enc = Encoder::new(&ctx);
+        let values: Vec<f64> = (0..enc.slots())
+            .map(|i| 3.0 + (i as f64 * 0.61).cos())
+            .collect();
+        let level = ctx.max_level();
+        let mut fallback_taken = false;
+        for bits in 20..=62 {
+            let scale = 2f64.powi(bits);
+            let pt = enc.encode(&values, scale, level);
+            let coeffs = enc.scaled_coeffs(&values, scale);
+            fallback_taken |= coeffs.iter().any(|c| c.round().abs() >= 2f64.powi(63));
+            let mut expect = RnsPoly::zero(&ctx, level, false, false);
+            for (i, &m) in ctx.moduli()[..level].iter().enumerate() {
+                for (slot, &c) in expect.limb_mut(i).iter_mut().zip(&coeffs) {
+                    *slot = m.reduce_f64_reference(c.round());
+                }
+            }
+            expect.to_ntt(&ctx);
+            assert_eq!(pt.poly, expect, "scale 2^{bits}");
+        }
+        assert!(fallback_taken, "no coefficient reached 2^63");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::cipher::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::{Encoder, Plaintext};
 use crate::keys::{rotation_to_galois, GaloisKeys, KeyCache, KswKey, RelinKey};
-use crate::poly::RnsPoly;
+use crate::poly::{galois_ntt_index, RnsPoly};
 use crate::pool::{PolyPool, PoolStats};
 
 /// Relative scale mismatch tolerated by additions. Two drift sources:
@@ -345,10 +345,11 @@ impl<'c> Evaluator<'c> {
     fn apply_galois(&self, a: &Ciphertext, g: usize, key: &KswKey) -> Ciphertext {
         let ctx = self.ctx;
         let pool = &self.pool;
+        let index = galois_ntt_index(ctx.degree(), g);
         let mut c0 = a.c0.clone_in(pool);
-        c0.automorphism_in(ctx, g, pool);
+        c0.automorphism_in(&index, pool);
         let mut c1 = a.c1.clone_in(pool);
-        c1.automorphism_in(ctx, g, pool);
+        c1.automorphism_in(&index, pool);
         let (k0, k1) = self.key_switch(&c1, key);
         c1.recycle(pool);
         c0.add_assign(ctx, &k0);
@@ -384,11 +385,13 @@ impl<'c> Evaluator<'c> {
     /// Panics at level 1.
     pub fn mod_switch(&self, a: &Ciphertext) -> Ciphertext {
         assert!(a.level >= 2, "cannot modswitch at level 1");
-        let mut out = self.clone_ct(a);
-        out.c0.drop_to_level_in(a.level - 1, &self.pool);
-        out.c1.drop_to_level_in(a.level - 1, &self.pool);
-        out.level -= 1;
-        out
+        let level = a.level - 1;
+        Ciphertext {
+            c0: a.c0.clone_to_level_in(level, &self.pool),
+            c1: a.c1.clone_to_level_in(level, &self.pool),
+            level,
+            scale: a.scale,
+        }
     }
 
     /// `upscale`: raises the scale by `factor` without changing the level
@@ -454,8 +457,9 @@ impl<'c> Evaluator<'c> {
         out
     }
 
-    /// The back half of a key switch: NTT the (possibly permuted) lifted
-    /// decomposition, inner-product with the key, and divide by `P`.
+    /// The back half of a key switch: NTT the lifted decomposition (digits
+    /// already in NTT domain, as the hoisted path passes them, are left
+    /// as they are), inner-product with the key, and divide by `P`.
     /// Consumes the decomposition so each digit transforms in place, and
     /// multiplies against the full-basis key polynomials directly — no
     /// per-digit clone or [`RnsPoly::restrict_for_keyswitch`] copy.
@@ -491,11 +495,12 @@ impl<'c> Evaluator<'c> {
     }
 
     /// Computes several rotations of one ciphertext with a *hoisted* key
-    /// switch (SEAL-style): the expensive RNS decomposition of `c1` is done
-    /// once and shared; each rotation only permutes the decomposed
-    /// polynomials and runs the key inner product. Saves the per-rotation
-    /// inverse NTT + reduction work — a win for convolution kernels that
-    /// rotate the same ciphertext many times.
+    /// switch (SEAL-style): the RNS decomposition of `c1` is done, and
+    /// brought to NTT domain, once and shared; each rotation only permutes
+    /// the decomposed polynomials' NTT slots and runs the key inner
+    /// product. Saves the per-rotation inverse NTT, reduction and digit
+    /// forward NTTs — a win for convolution kernels that rotate the same
+    /// ciphertext many times.
     ///
     /// # Panics
     ///
@@ -522,7 +527,13 @@ impl<'c> Evaluator<'c> {
         let ctx = self.ctx;
         let pool = &self.pool;
         let l = a.level;
-        let lifted = self.decompose_lifted(&a.c1);
+        let mut lifted = self.decompose_lifted(&a.c1);
+        // Transform once; every step below permutes NTT slots, which is
+        // exactly the coefficient permutation (with per-modulus negation)
+        // followed by the same forward NTT.
+        for lp in &mut lifted {
+            lp.to_ntt(ctx);
+        }
         let mut out = Vec::with_capacity(steps.len());
         for &step in steps {
             let g = rotation_to_galois(ctx, step);
@@ -531,19 +542,24 @@ impl<'c> Evaluator<'c> {
                 continue;
             }
             let rotated = self.with_galois_key(g, Some(step), |key| {
-                // Decomposition commutes with the automorphism (both are
-                // coefficient-wise), so permute the shared lifted polys.
+                // Permuting the decomposition of `c1` instead of
+                // decomposing the permuted `c1` is a valid digit
+                // decomposition, but not the same one: where the
+                // automorphism negates, digit `j`'s residue `c` lifts to
+                // `−c` here and to `q_j − c` there. That is why hoisted and
+                // individual rotations decrypt alike but differ in bytes.
+                let index = galois_ntt_index(ctx.degree(), g);
                 let permuted: Vec<RnsPoly> = lifted
                     .iter()
                     .map(|lp| {
                         let mut t = lp.clone_in(pool);
-                        t.automorphism_in(ctx, g, pool);
+                        t.automorphism_in(&index, pool);
                         t
                     })
                     .collect();
                 let (k0, k1) = self.key_switch_lifted(permuted, l, key);
                 let mut c0 = a.c0.clone_in(pool);
-                c0.automorphism_in(ctx, g, pool);
+                c0.automorphism_in(&index, pool);
                 c0.add_assign(ctx, &k0);
                 k0.recycle(pool);
                 Ciphertext {

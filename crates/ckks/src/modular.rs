@@ -221,11 +221,38 @@ impl Modulus {
     }
 
     /// Reduces an `f64` (|x| possibly ≫ 2^64, e.g. a coefficient scaled by
-    /// 2^80) into `[0, q)`, exactly: the mantissa and binary exponent are
-    /// read straight out of the IEEE-754 bit pattern (`f64::to_bits`), so
-    /// powers of two, subnormals and fractional values all reduce without
-    /// any floating-point rounding.
+    /// 2^80) into `[0, q)`, exactly.
+    ///
+    /// Integer values below `2^63` in magnitude — every rounded encoder
+    /// coefficient at the scales the schedules use — convert to `i64`
+    /// without loss and take [`Modulus::reduce_i64`]. Anything else
+    /// (fractional, `≥ 2^63`, subnormal) goes through
+    /// [`Modulus::reduce_f64_reference`]; both paths return the same
+    /// residue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
     pub fn reduce_f64(self, x: f64) -> u64 {
+        // 2^63 as an f64 (exact); `x as i64` is lossless strictly below it.
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+        if x.fract() == 0.0 && x.abs() < TWO_63 {
+            return self.reduce_i64(x as i64);
+        }
+        self.reduce_f64_reference(x)
+    }
+
+    /// [`Modulus::reduce_f64`] for any finite `x`, through the IEEE-754
+    /// bit pattern (`f64::to_bits`): `|x| = mant · 2^exp` with the exact
+    /// power of two reduced by `pow` (and a Fermat inversion for negative
+    /// exponents), so powers of two, subnormals and fractional values all
+    /// reduce without any floating-point rounding. Kept as the oracle for
+    /// the integer fast path and as its fallback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not finite.
+    pub fn reduce_f64_reference(self, x: f64) -> u64 {
         assert!(x.is_finite(), "cannot reduce non-finite value");
         if x == 0.0 {
             return 0;

@@ -45,7 +45,8 @@ pub struct NttTable {
     inv_last_tw_shoup: u64,
 }
 
-fn bit_reverse(i: usize, log_n: u32) -> usize {
+/// `i` with its low `log_n` bits reversed — the NTT's output order.
+pub(crate) fn bit_reverse(i: usize, log_n: u32) -> usize {
     i.reverse_bits() >> (usize::BITS - log_n)
 }
 

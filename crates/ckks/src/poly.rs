@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::context::CkksContext;
 use crate::modular::Modulus;
-use crate::ntt::NttTable;
+use crate::ntt::{bit_reverse, NttTable};
 use crate::pool::PolyPool;
 
 /// A polynomial in RNS form: one residue vector (length `N`) per active
@@ -68,6 +68,28 @@ impl RnsPoly {
         RnsPoly {
             level: self.level,
             special: self.special,
+            ntt: self.ntt,
+            limbs,
+        }
+    }
+
+    /// A pooled copy of the first `level` chain limbs, without the special
+    /// limb (`modswitch`'s core): [`RnsPoly::clone_in`] then
+    /// [`RnsPoly::drop_to_level`], but only the kept limbs are copied. The
+    /// dropped limbs' buffers are still checked out and handed straight
+    /// back, so the pool's hit and miss counts (which the runtime reports
+    /// per op class, and `tests/golden/serial_exec.txt` records) match a
+    /// full clone followed by a drop.
+    pub fn clone_to_level_in(&self, level: usize, pool: &PolyPool) -> Self {
+        assert!(level >= 1 && level <= self.level);
+        let mut limbs = pool.take_raw(self.limbs.len());
+        pool.put(limbs.drain(level..));
+        for (dst, src) in limbs.iter_mut().zip(&self.limbs) {
+            dst.copy_from_slice(src);
+        }
+        RnsPoly {
+            level,
+            special: false,
             ntt: self.ntt,
             limbs,
         }
@@ -400,15 +422,6 @@ impl RnsPoly {
         self.special = false;
     }
 
-    /// [`RnsPoly::drop_to_level`] with the truncated limb buffers returned
-    /// to `pool` instead of freed.
-    pub fn drop_to_level_in(&mut self, new_level: usize, pool: &PolyPool) {
-        assert!(new_level >= 1 && new_level <= self.level);
-        pool.put(self.limbs.drain(new_level..));
-        self.level = new_level;
-        self.special = false;
-    }
-
     /// Restricts a full-basis key polynomial to the first `level` chain
     /// limbs plus the special limb (key polys always carry `P`).
     pub fn restrict_for_keyswitch(&self, level: usize) -> RnsPoly {
@@ -525,34 +538,78 @@ impl RnsPoly {
         self.special = false;
     }
 
-    /// Applies the Galois automorphism `X ↦ X^g` (odd `g`), in coefficient
-    /// domain internally; preserves the input domain.
+    /// Applies the Galois automorphism `X ↦ X^g` (odd `g`) in the current
+    /// domain, without a transform: a slot permutation
+    /// ([`galois_ntt_index`]) in NTT domain, a signed coefficient
+    /// permutation in coefficient domain.
     pub fn automorphism(&mut self, ctx: &CkksContext, g: usize) {
-        self.automorphism_impl(ctx, g, None);
+        if self.ntt {
+            self.automorphism_impl(&galois_ntt_index(ctx.degree(), g), None);
+        } else {
+            self.permute_coeffs(ctx, g);
+        }
     }
 
-    /// [`RnsPoly::automorphism`] with the per-limb target buffers checked
-    /// out of `pool` and the replaced source buffers returned to it.
-    pub fn automorphism_in(&mut self, ctx: &CkksContext, g: usize, pool: &PolyPool) {
-        self.automorphism_impl(ctx, g, Some(pool));
+    /// The NTT-domain automorphism for the index table `index` of
+    /// [`galois_ntt_index`], with the per-limb target buffers checked out
+    /// of `pool` and the replaced source buffers returned to it. One table
+    /// serves every limb and every polynomial rotated by the same `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the poly is in coefficient domain or `index` is not of
+    /// length `N`.
+    pub fn automorphism_in(&mut self, index: &[u32], pool: &PolyPool) {
+        self.automorphism_impl(index, Some(pool));
     }
 
-    fn automorphism_impl(&mut self, ctx: &CkksContext, g: usize, pool: Option<&PolyPool>) {
-        let n = ctx.degree();
-        assert!(g % 2 == 1, "Galois element must be odd");
-        let was_ntt = self.ntt;
-        self.to_coeff(ctx);
-        for idx in 0..self.limbs.len() {
-            let m = self.modulus_of(ctx, idx);
-            let src = &self.limbs[idx];
-            // For odd g the map i ↦ (i·g mod 2N) folded into 0..N is a
-            // bijection, so every slot of `dst` is written exactly once and
-            // an unzeroed pooled buffer is safe.
+    fn automorphism_impl(&mut self, index: &[u32], pool: Option<&PolyPool>) {
+        assert!(self.ntt, "the Galois index table permutes NTT slots");
+        for limb in &mut self.limbs {
+            assert_eq!(index.len(), limb.len(), "index table sized for N");
+            // `index` is a permutation, so every slot of `dst` is written
+            // exactly once and an unzeroed pooled buffer is safe.
             let mut dst = match pool {
                 Some(p) => p.take_raw(1).pop().expect("one buffer"),
-                None => vec![0u64; n],
+                None => vec![0u64; limb.len()],
             };
-            for (i, &coeff) in src.iter().enumerate() {
+            for (d, &src) in dst.iter_mut().zip(index) {
+                *d = limb[src as usize];
+            }
+            let old = std::mem::replace(limb, dst);
+            if let Some(p) = pool {
+                p.put([old]);
+            }
+        }
+    }
+
+    /// The automorphism through the coefficient domain: inverse NTT,
+    /// signed coefficient permutation, forward NTT (preserving the input
+    /// domain). Kept as the oracle for the NTT-slot permutation.
+    pub fn automorphism_reference(&mut self, ctx: &CkksContext, g: usize) {
+        let was_ntt = self.ntt;
+        self.to_coeff(ctx);
+        self.permute_coeffs(ctx, g);
+        if was_ntt {
+            self.to_ntt(ctx);
+        }
+    }
+
+    /// `X ↦ X^g` on coefficients: coefficient `i` moves to `i·g mod 2N`,
+    /// negated when that wraps past `N` (`X^N = −1`).
+    fn permute_coeffs(&mut self, ctx: &CkksContext, g: usize) {
+        let n = ctx.degree();
+        assert!(g % 2 == 1, "Galois element must be odd");
+        assert!(
+            !self.ntt,
+            "coefficient permutation needs coefficient domain"
+        );
+        for idx in 0..self.limbs.len() {
+            let m = self.modulus_of(ctx, idx);
+            // For odd g the map i ↦ (i·g mod 2N) folded into 0..N is a
+            // bijection, so every slot of `dst` is written exactly once.
+            let mut dst = vec![0u64; n];
+            for (i, &coeff) in self.limbs[idx].iter().enumerate() {
                 let target = (i * g) % (2 * n);
                 if target < n {
                     dst[target] = coeff;
@@ -560,13 +617,7 @@ impl RnsPoly {
                     dst[target - n] = m.neg(coeff);
                 }
             }
-            let old = std::mem::replace(&mut self.limbs[idx], dst);
-            if let Some(p) = pool {
-                p.put([old]);
-            }
-        }
-        if was_ntt {
-            self.to_ntt(ctx);
+            self.limbs[idx] = dst;
         }
     }
 
@@ -578,12 +629,42 @@ impl RnsPoly {
     }
 }
 
+/// The NTT-domain index table of the Galois automorphism `X ↦ X^g` at
+/// degree `n`: the automorphism maps NTT slots as `out[i] = in[index[i]]`.
+///
+/// The forward NTT leaves slot `i` holding `a(ψ^(2·brv(i)+1))` (`ψ` the
+/// prime's primitive 2N-th root, `brv` the bit reversal of `log2 n` bits),
+/// and `a(X^g)` evaluated there is `a(ψ^((2·brv(i)+1)·g mod 2N))`, another
+/// slot of the same transform. The table depends only on `n` and `g`, not
+/// on the prime, so one `u32` table serves every limb.
+///
+/// # Panics
+///
+/// Panics if `n` is not a power of two `≥ 2` or `g` is even.
+pub fn galois_ntt_index(n: usize, g: usize) -> Vec<u32> {
+    assert!(
+        n.is_power_of_two() && n >= 2,
+        "degree must be a power of two >= 2"
+    );
+    assert!(g % 2 == 1, "Galois element must be odd");
+    let log_n = n.trailing_zeros();
+    // Exponents live mod 2N, a power of two: a mask, not a division.
+    let mask = 2 * n - 1;
+    let g = g & mask;
+    (0..n)
+        .map(|i| {
+            let exp = ((2 * bit_reverse(i, log_n) + 1) * g) & mask;
+            bit_reverse(exp >> 1, log_n) as u32
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{CkksContext, CkksParams};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_ctx() -> CkksContext {
         CkksContext::new(CkksParams {
@@ -718,6 +799,53 @@ mod tests {
                 assert_eq!(c, 1, "X^(N−3) coefficient");
             } else {
                 assert_eq!(m.center(c), 0, "coefficient {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn ntt_automorphism_matches_coefficient_reference() {
+        let ctx = tiny_ctx();
+        let n2 = 2 * ctx.degree();
+        let pool = PolyPool::new(ctx.degree());
+        let mut rng = StdRng::seed_from_u64(9);
+        // Random odd elements plus the extremes: identity, the rotation
+        // generator 5 and conjugation 2N − 1.
+        let mut elements = vec![1usize, 5, n2 - 1];
+        elements.extend((0..12).map(|_| 2 * rng.gen_range(0..n2 / 2) + 1));
+        for g in elements {
+            for special in [false, true] {
+                let p = RnsPoly::uniform(&ctx, 2, special, &mut rng);
+                let mut expect = p.clone();
+                expect.automorphism_reference(&ctx, g);
+                let mut unpooled = p.clone();
+                unpooled.automorphism(&ctx, g);
+                assert_eq!(unpooled, expect, "g={g} special={special} unpooled");
+                let mut pooled = p.clone_in(&pool);
+                pooled.automorphism_in(&galois_ntt_index(ctx.degree(), g), &pool);
+                assert_eq!(pooled, expect, "g={g} special={special} pooled");
+                pooled.recycle(&pool);
+                // Coefficient-domain input permutes coefficients directly.
+                let mut coeff = p.clone();
+                coeff.to_coeff(&ctx);
+                let mut coeff_expect = expect.clone();
+                coeff_expect.to_coeff(&ctx);
+                coeff.automorphism(&ctx, g);
+                assert_eq!(coeff, coeff_expect, "g={g} special={special} coeff");
+            }
+        }
+    }
+
+    #[test]
+    fn galois_ntt_index_is_a_permutation() {
+        for log_n in 1..=13u32 {
+            let n = 1usize << log_n;
+            for g in [1usize, 3, 5, 2 * n - 1] {
+                let mut seen = vec![false; n];
+                for &i in &galois_ntt_index(n, g) {
+                    assert!(!seen[i as usize], "n={n} g={g}: slot {i} twice");
+                    seen[i as usize] = true;
+                }
             }
         }
     }

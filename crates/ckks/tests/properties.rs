@@ -193,6 +193,50 @@ fn barrett_and_shoup_agree_with_u128_reference() {
 }
 
 #[test]
+fn reduce_f64_integer_path_agrees_with_bit_pattern_reference() {
+    use fhe_ckks::modular::Modulus;
+    let p = |k: i32| 2f64.powi(k);
+    // Around the edges of the integer path: `f64` integers stop being
+    // dense at 2^53, and `x as i64` is exact only strictly below 2^63.
+    let edges = [
+        0.0,
+        p(52) - 1.0,
+        p(52) + 1.0,
+        p(53),
+        p(63) - 1024.0,
+        p(63),
+        p(80),
+    ];
+    let moduli = [
+        fhe_ckks::primes::ntt_primes(45, 1 << 7, 1)[0],
+        fhe_ckks::primes::ntt_primes(60, 1 << 13, 1)[0],
+        (1u64 << 62) - 57,
+    ];
+    for q in moduli {
+        let m = Modulus::new(q);
+        for x in edges.iter().flat_map(|&x| [x, -x]) {
+            assert_eq!(m.reduce_f64(x), m.reduce_f64_reference(x), "q={q} x={x:e}");
+        }
+        let mut rng = StdRng::seed_from_u64(0xF64 ^ q);
+        for case in 0..2000 {
+            let magnitude = p(rng.gen_range(-20..70));
+            let x = rng.gen_range(-1.0f64..1.0) * magnitude;
+            assert_eq!(
+                m.reduce_f64(x),
+                m.reduce_f64_reference(x),
+                "q={q} case {case}: x={x:e}"
+            );
+            let rounded = x.round();
+            assert_eq!(
+                m.reduce_f64(rounded),
+                m.reduce_f64_reference(rounded),
+                "q={q} case {case}: x={rounded:e}"
+            );
+        }
+    }
+}
+
+#[test]
 fn harvey_ntt_matches_reference_all_degrees() {
     use fhe_ckks::modular::Modulus;
     use fhe_ckks::ntt::NttTable;

@@ -13,11 +13,36 @@ use fhe_ir::{CostModel, OpClass};
 /// `1..=levels`.
 pub type LatencyRow = (OpClass, Vec<f64>);
 
+/// One op class's per-repetition latencies (µs): `samples[l − 1]` holds
+/// the `reps` timings at level `l`, in the order they were taken.
+pub type LatencySamples = (OpClass, Vec<Vec<f64>>);
+
 /// Measures the latency of every Table 3 op class at levels `1..=levels`.
 ///
 /// A `rescale` at row level `l` operates on a level `l+1` ciphertext (the
-/// paper charges rescales at their result level). `reps` controls averaging.
+/// paper charges rescales at their result level). Each row entry is the
+/// mean of `reps` timings ([`measure_samples`]).
 pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec<LatencyRow> {
+    measure_samples(params, levels, reps, seed)
+        .into_iter()
+        .map(|(class, per_level)| {
+            let means = per_level
+                .iter()
+                .map(|s| s.iter().sum::<f64>() / s.len() as f64)
+                .collect();
+            (class, means)
+        })
+        .collect()
+}
+
+/// [`measure`] without the averaging: every repetition's latency, so a
+/// caller can take a median that one preempted repetition cannot move.
+pub fn measure_samples(
+    params: CkksParams,
+    levels: usize,
+    reps: usize,
+    seed: u64,
+) -> Vec<LatencySamples> {
     assert!(
         params.max_level > levels,
         "need max_level > measured levels for rescale"
@@ -38,7 +63,7 @@ pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec
         encrypt_symmetric(&ctx, &sk, &pt, rng)
     };
 
-    let mut rows: Vec<LatencyRow> = OpClass::ALL
+    let mut rows: Vec<LatencySamples> = OpClass::ALL
         .iter()
         .map(|&c| (c, Vec::with_capacity(levels)))
         .collect();
@@ -51,34 +76,34 @@ pub fn measure(params: CkksParams, levels: usize, reps: usize, seed: u64) -> Vec
         let pt_add = ev.encoder().encode(&values, 2f64.powi(40), level);
         let pt_mul = ev.encoder().encode(&values, 2f64.powi(20), level);
 
-        for (class, row) in rows.iter_mut() {
-            let t0 = Instant::now();
-            for _ in 0..reps {
-                match class {
-                    OpClass::ModSwitch => {
-                        std::hint::black_box(ev.mod_switch(&ct_up));
-                    }
-                    OpClass::AddPlain => {
-                        std::hint::black_box(ev.add_plain(&ct, &pt_add));
-                    }
-                    OpClass::AddCipher => {
-                        std::hint::black_box(ev.add(&ct, &ct2));
-                    }
-                    OpClass::MulPlain => {
-                        std::hint::black_box(ev.mul_plain(&ct, &pt_mul));
-                    }
-                    OpClass::Rescale => {
-                        std::hint::black_box(ev.rescale(&ct_up));
-                    }
-                    OpClass::Rotate => {
-                        std::hint::black_box(ev.rotate(&ct, 1));
-                    }
-                    OpClass::MulCipher => {
-                        std::hint::black_box(ev.mul(&ct, &ct2));
-                    }
+        for (_, row) in rows.iter_mut() {
+            row.push(Vec::with_capacity(reps));
+        }
+        // Repetitions visit every class in turn, so a slow stretch of the
+        // host lands on all classes alike instead of on one class's run.
+        // Results go back to the pool untimed, as the executor's walk
+        // recycles retired values: every op then draws its buffers from a
+        // warm free list instead of paying for the allocations the ops
+        // before it drained. An untimed first round fills that free list
+        // for this level.
+        for rep in 0..=reps {
+            for (class, row) in rows.iter_mut() {
+                let t0 = Instant::now();
+                let out = match class {
+                    OpClass::ModSwitch => ev.mod_switch(&ct_up),
+                    OpClass::AddPlain => ev.add_plain(&ct, &pt_add),
+                    OpClass::AddCipher => ev.add(&ct, &ct2),
+                    OpClass::MulPlain => ev.mul_plain(&ct, &pt_mul),
+                    OpClass::Rescale => ev.rescale(&ct_up),
+                    OpClass::Rotate => ev.rotate(&ct, 1),
+                    OpClass::MulCipher => ev.mul(&ct, &ct2),
+                };
+                let us = t0.elapsed().as_secs_f64() * 1e6;
+                if rep > 0 {
+                    row[level - 1].push(us);
                 }
+                ev.recycle_ct(std::hint::black_box(out));
             }
-            row.push(t0.elapsed().as_secs_f64() * 1e6 / reps as f64);
         }
     }
     rows
